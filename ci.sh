@@ -35,14 +35,20 @@ cargo test -q --offline --test batch_vs_scalar_props
 cargo test -q --offline --test golden_batched
 cargo test -q -p cyclesteal-markov --offline batch
 
-echo "==> (k, m) fleet reduction gate (1x1 bit-identity + {1,2,4}^2 analysis-vs-sim grid)"
-# The fleet generalization is only trusted through its reduction: the
-# differential suite proves the (1, 1) fleet chain IS the 2-host chain
+echo "==> (k, m) fleet reduction gate (1x1 bit-identity vs the test-only 2-host oracle + {1,2,4}^2 analysis-vs-sim grid)"
+# The one CS-CQ chain builder is only trusted through its reduction: the
+# differential suite proves the (1, 1) fleet chain IS the paper's 2-host
+# chain, kept as the independent test-only oracle tests/support/two_host.rs
 # (same QBD signature, same solution bits, same golden Figure-4 curve),
 # then cross-validates every {1,2,4}^2 shape against the fleet simulator;
-# the property suite shrinks random workloads over the same invariants.
+# the property suite shrinks random workloads over the same invariants,
+# and the MAP suite repeats the bit-identity with MAP short arrivals.
 cargo test -q --offline --test km_reduction
 cargo test -q --offline --test km_props
+cargo test -q --offline --test map_reduction
+
+echo "==> rustdoc (every intra-doc link resolves; warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> clippy (incl. unwrap-free non-test code in core and sweep)"
 # core and sweep deny clippy::unwrap_used outside tests; warnings anywhere

@@ -31,7 +31,7 @@
 //!
 //! # Once-per-key compute, deterministic hit/miss counts
 //!
-//! Each layer is a [`Memo`]: the first thread to ask for a key becomes its
+//! Each layer is a `Memo`: the first thread to ask for a key becomes its
 //! *designated computer* and every concurrent asker blocks on the entry's
 //! condvar until the value is ready. This upgrades the determinism story
 //! from "same *values* at any thread count" to "same *telemetry* at any
@@ -104,10 +104,8 @@ impl CacheStats {
 type FitKey = (u64, u64, u64, u8);
 /// Whole-report key: quantized workload bits, fit tag, and the `(k, m)`
 /// host counts. The host counts are exact integers — never quantized — so
-/// two scenarios differing only in fleet shape cannot collide; the 2-host
-/// analysis keys itself as `(1, 1)` and shares entries with the `(k, m)`
-/// generalization at that point (where the two paths are bit-identical by
-/// the `km_reduction` differential suite).
+/// two scenarios differing only in fleet shape cannot collide. The paper's
+/// 2-host system is the `(1, 1)` fleet and keys itself as `(1, 1)`.
 ///
 /// Public because the persistence layer (`cyclesteal-svc`'s durable WAL)
 /// serializes report entries by this key; the key is plain bits, so the
@@ -706,6 +704,7 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoStats for Memo<K, V> {
 mod tests {
     use super::*;
     use crate::cs_cq::{self, BusyPeriodFit};
+    use crate::cs_cq_km::{self, Hosts};
     use crate::SystemParams;
 
     #[test]
@@ -785,7 +784,7 @@ mod tests {
         // Dyadic loads: snapping is the identity, so the planner's chain is
         // exactly the chain the analysis path builds.
         let p = SystemParams::exponential(1.25, 1.0, 0.5, 1.0).unwrap();
-        let qbd = cs_cq::plan_qbd_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
+        let qbd = cs_cq_km::plan_qbd_cached(Hosts::paper(), &p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
         assert!(!cache.has_qbd_solution(&qbd));
         let sol = qbd.solve().unwrap();
         cache.seed_qbd_solution(&qbd, sol);
@@ -814,7 +813,7 @@ mod tests {
         );
         // Seeding an already-present key is a no-op hit, not a new miss
         // (and replanning hits the plan layer instead of rebuilding).
-        let again = cs_cq::plan_qbd_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
+        let again = cs_cq_km::plan_qbd_cached(Hosts::paper(), &p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
         cache.seed_qbd_solution(&again, again.solve().unwrap());
         assert_eq!(cache.stats().misses, 5);
     }

@@ -1,30 +1,34 @@
-//! CS-CQ for a **fleet**: `k` short hosts plus `m` stealing (long) hosts
-//! under one central queue — the many-server generalization of the paper's
-//! 2-host chain (`crate::cs_cq` is the `k = m = 1` instance).
+//! The CS-CQ chain: `k` short hosts plus `m` stealing (long) hosts under
+//! one central queue. This is the crate's one CS-CQ chain builder; the
+//! paper's 2-host system (Figure 2) is the `(k, m) = (1, 1)` fleet,
+//! [`Hosts::paper`], and every `crate::cs_cq` entry point is a thin
+//! `(1, 1)` call into this module.
 //!
 //! # The model
 //!
 //! Long jobs split uniformly at random over `m` *long slots* (one per
 //! stealing host), so each slot sees an independent Poisson stream of rate
 //! `λ_L / m` and its long dynamics collapse into per-slot busy periods
-//! exactly as in the 2-host chain: `B_L` (entered when a long arrives at an
-//! empty slot while a server is idle) and `B_{N+1}` (entered when the long
-//! had to wait for a server), both three-moment-matched into Coxian
+//! exactly as in the paper: `B_L` (entered when a long arrives at an empty
+//! slot while a server is idle) and `B_{N+1}` (entered when the long had
+//! to wait for a server), both three-moment-matched into Coxian
 //! transitions. Servers are renamable and work-conserving: any of the
 //! `k + m` servers may serve shorts or run a slot's busy period.
 //!
 //! # The chain
 //!
 //! * **Level** — number of short jobs in system (tracked exactly).
-//! * **Phase** — the *multiset* of per-slot states over the `m` slots.
-//!   Each slot is in one of `2 + k1 + k2` states: `F` (empty), a `B_L`
-//!   Coxian stage, a `B_{N+1}` stage, or `R5` (a long waits for a server).
-//!   Phases are enumerated as **non-decreasing slot-state tuples in
-//!   lexicographic order** — at `m = 1` this is exactly the 2-host phase
-//!   order `[W, BL…, BN…, R5]`, which makes the `(1, 1)` chain reduce
-//!   **bit-for-bit** to `crate::cs_cq` (same QBD signature, same
-//!   solution). The enumeration order is therefore part of the public
-//!   contract; see DESIGN §11.
+//! * **Phase** — the *multiset* of per-slot states over the `m` slots,
+//!   times the phase of the short-arrival process (one phase for Poisson
+//!   arrivals; a MAP's phase is the innermost index). Each slot is in one
+//!   of `2 + k1 + k2` states: `F` (empty), a `B_L` Coxian stage, a
+//!   `B_{N+1}` stage, or `R5` (a long waits for a server). Phases are
+//!   enumerated as **non-decreasing slot-state tuples in lexicographic
+//!   order** — at `m = 1` this is the paper's phase order
+//!   `[W, BL…, BN…, R5]`. The `km_reduction`, `km_props` and
+//!   `map_reduction` suites hold the `(1, 1)` chain bit for bit to an
+//!   independent test-only 2-host construction, so the enumeration order is
+//!   part of the public contract; see DESIGN §11.
 //! * **Boundary** — levels `0 .. k + m − 1`, each restricted to the phases
 //!   reachable there: with `r` slots in `R5` and `b` slots busy on longs,
 //!   all `k + m − b` short-capable servers are busy whenever a long waits,
@@ -36,7 +40,7 @@
 //!   oldest waiting slot (`R5 → B_{N+1}` stage `j` w.p. `β_j`);
 //! * a draining busy period while a long waits likewise rescues the oldest
 //!   waiting slot (impossible at `(1, 1)`, where `b ≥ 1` and `r ≥ 1`
-//!   cannot coexist — the reduction is untouched);
+//!   cannot coexist);
 //! * a long arriving at an empty slot starts `B_L` iff a server is idle
 //!   (`n < k + f + r` with `f` free slots), else the slot enters `R5`.
 //!
@@ -45,22 +49,23 @@
 //!
 //! # Outputs
 //!
-//! [`CsCqReport`], exactly as the 2-host analysis: shorts via `E[N_S]` and
-//! Little's law; longs as a per-slot M/G/1 with arrival rate `λ_L / m` and
-//! an `Exp((k + m) μ_S)` setup paid with the chain's conditional
-//! probability that an arriving long finds its slot free but every server
-//! busy (PASTA).
+//! [`CsCqReport`]: shorts via `E[N_S]` and Little's law; longs as a
+//! per-slot M/G/1 with arrival rate `λ_L / m` and an `Exp((k + m) μ_S)`
+//! setup paid with the chain's conditional probability that an arriving
+//! long finds its slot free but every server busy (PASTA).
 
-use cyclesteal_dist::{busy, DistError, Moments3, Ph};
+use cyclesteal_dist::match3::{self, MatchQuality};
+use cyclesteal_dist::{busy, DistError, Map, Moments3, Ph};
 use cyclesteal_linalg::{Matrix, Workspace};
 use cyclesteal_markov::Qbd;
 use cyclesteal_mg1::mg1;
 
-use crate::cache::SolveCache;
-use crate::cs_cq::{
-    fit_busy_period_cached, fix_diagonal, snap_params, BusyPeriodFit, CsCqReport,
-};
+use crate::cache::{quantize, ReportKey, SolveCache};
+use crate::cs_cq::{BusyPeriodFit, CsCqReport};
 use crate::{stability, AnalysisError, SystemParams};
+
+/// Most hosts a fleet may have (`k + m`), and so the longest slot tuple.
+const MAX_HOSTS: usize = 32;
 
 /// Fleet shape: `k` short hosts and `m` stealing (long) hosts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,7 +89,7 @@ impl Hosts {
                 reason: "fleet needs at least one short host (k >= 1)",
             }));
         }
-        if k + m > 32 {
+        if k + m > MAX_HOSTS {
             return Err(AnalysisError::Param(DistError::Inconsistent {
                 reason: "fleet too large (k + m must be <= 32)",
             }));
@@ -145,21 +150,23 @@ pub fn analyze_with(
     params: &SystemParams,
     fit: BusyPeriodFit,
 ) -> Result<CsCqReport, AnalysisError> {
-    analyze_inner(hosts, params, fit, None, &mut Workspace::new())
+    analyze_inner(hosts, params, fit, None, None, &mut Workspace::new())
 }
 
-/// [`analyze_with`] through a [`SolveCache`] (parameters snapped onto the
-/// quantization grid; fits, QBD solutions and whole reports memoized).
+/// [`analyze_with`] through a [`SolveCache`]: the workload is snapped onto
+/// the cache's quantization grid and every expensive sub-solve (busy-period
+/// Coxian fits, the chain, its QBD solution, the whole report) is
+/// memoized. Because all cached values are pure functions of their
+/// quantized keys, results are bit-identical regardless of which thread or
+/// sweep order populated the cache — see the `crate::cache` module docs.
 /// The report key carries `(k, m)` verbatim — host counts are integers and
 /// are never quantized, so scenarios differing only in fleet shape cannot
-/// collide. At `(1, 1)` the key coincides with the 2-host
-/// [`crate::cs_cq::analyze_cached`] key, which is sound because the two
-/// construction paths are bit-identical there (the `km_reduction` suite
-/// is the gate).
+/// collide.
 ///
 /// # Errors
 ///
-/// As for [`analyze`]. Errors are never cached.
+/// As for [`analyze`]. Errors are never cached (they are cheap to
+/// rediscover and equally deterministic).
 pub fn analyze_cached(
     hosts: Hosts,
     params: &SystemParams,
@@ -169,12 +176,10 @@ pub fn analyze_cached(
     analyze_cached_in(hosts, params, fit, cache, &mut Workspace::new())
 }
 
-/// [`analyze_cached`] solving out of a caller-owned scratch [`Workspace`].
-///
-/// # Errors
-///
-/// As for [`analyze`].
-pub fn analyze_cached_in(
+/// [`analyze_cached`] solving out of a caller-owned scratch [`Workspace`]
+/// (the recovery ladder's rung). Buffers are canonically reset on checkout,
+/// so the result is bit-identical no matter what the workspace held before.
+pub(crate) fn analyze_cached_in(
     hosts: Hosts,
     params: &SystemParams,
     fit: BusyPeriodFit,
@@ -183,19 +188,33 @@ pub fn analyze_cached_in(
 ) -> Result<CsCqReport, AnalysisError> {
     let snapped = snap_params(params);
     let key = report_key(hosts, &snapped, fit);
-    cache.report(key, || analyze_inner(hosts, &snapped, fit, Some(cache), ws))
+    cache.report(key, || {
+        analyze_inner(hosts, &snapped, fit, None, Some(cache), ws)
+    })
 }
 
-/// The [`crate::cache::ReportKey`] under which [`analyze_cached`] memoizes
-/// (and the persistence layer stores) this `(k, m)` workload. Parameters
-/// are snapped here; host counts are carried verbatim. At `(1, 1)` this is
-/// exactly [`crate::cs_cq::report_key`].
-pub fn report_key(
+/// The fleet analysis with MAP short arrivals (three-moment fits, no
+/// cache: the cache keys carry no arrival-process information).
+pub(crate) fn analyze_map(
     hosts: Hosts,
     params: &SystemParams,
-    fit: BusyPeriodFit,
-) -> crate::cache::ReportKey {
-    let snapped = snap_params(params);
+    arrivals: &Map,
+) -> Result<CsCqReport, AnalysisError> {
+    let fit = BusyPeriodFit::ThreeMoment;
+    analyze_inner(
+        hosts,
+        params,
+        fit,
+        Some(arrivals),
+        None,
+        &mut Workspace::new(),
+    )
+}
+
+/// The [`ReportKey`] under which [`analyze_cached`] memoizes (and the
+/// persistence layer stores) this workload: the snapped parameter bits,
+/// the fit tag and the host counts verbatim.
+fn report_key(hosts: Hosts, snapped: &SystemParams, fit: BusyPeriodFit) -> ReportKey {
     (
         [
             snapped.lambda_s().to_bits(),
@@ -210,26 +229,74 @@ pub fn report_key(
     )
 }
 
+/// Snaps every workload parameter onto the cache quantization grid; keeps
+/// the original parameters if the snapped triple happens to fall outside
+/// the feasible set (only possible exactly on a feasibility boundary).
+fn snap_params(params: &SystemParams) -> SystemParams {
+    let long = params.long_moments();
+    Moments3::new(
+        quantize(long.mean()),
+        quantize(long.m2()),
+        quantize(long.m3()),
+    )
+    .map_err(AnalysisError::from)
+    .and_then(|m| {
+        SystemParams::new(
+            quantize(params.lambda_s()),
+            quantize(params.mu_s()),
+            quantize(params.lambda_l()),
+            m,
+        )
+    })
+    .unwrap_or(*params)
+}
+
 /// Builds the fleet QBD exactly as [`analyze_with`] constructs it,
-/// **without solving** — the `(k, m)` counterpart of
-/// [`crate::cs_cq::build_qbd_model`].
+/// **without solving** — so benchmarks and diagnostics can isolate the QBD
+/// *solve* from the model *construction*.
 ///
 /// # Errors
 ///
-/// As for [`analyze`], minus the solver errors.
+/// As for [`analyze`], minus the solver errors (nothing is solved).
+///
+/// # Examples
+///
+/// ```
+/// use cyclesteal_core::cs_cq_km::{build_qbd_model, Hosts};
+/// use cyclesteal_core::SystemParams;
+///
+/// # fn main() -> Result<(), cyclesteal_core::AnalysisError> {
+/// let p = SystemParams::exponential(1.2, 1.0, 0.5, 1.0)?;
+/// let qbd = build_qbd_model(Hosts::paper(), &p, Default::default())?;
+/// assert!(qbd.solve().is_ok());
+/// # Ok(())
+/// # }
+/// ```
 pub fn build_qbd_model(
     hosts: Hosts,
     params: &SystemParams,
     fit: BusyPeriodFit,
 ) -> Result<Qbd, AnalysisError> {
-    let fits = fit_slot_busy_periods(hosts, params, fit, None)?;
-    build_qbd(hosts, params, fits.as_ref().map(|f| (&f.0 .0, &f.1 .0)))
+    build_chain(hosts, params, fit, None)
 }
 
-/// Builds the fleet QBD exactly as [`analyze_cached_in`] would on a cache
+/// [`build_qbd_model`] with optional MAP short arrivals (`None` = Poisson).
+pub(crate) fn build_chain(
+    hosts: Hosts,
+    params: &SystemParams,
+    fit: BusyPeriodFit,
+    arrivals: Option<&Map>,
+) -> Result<Qbd, AnalysisError> {
+    check_arrival_rate(params, arrivals)?;
+    let fits = fit_slot_busy_periods(hosts, params, fit, None)?;
+    let phs = fits.as_ref().map(|f| (&f.0 .0, &f.1 .0));
+    build_with_layout(&KmLayout::new(hosts, phs), params, phs, arrivals)
+}
+
+/// Builds the fleet QBD exactly as [`analyze_cached`] would on a cache
 /// miss — parameters snapped, fits served through the cache — without
-/// solving. The sweep batch planner's `(k, m)` hook: construction is
-/// bit-shared with the cached analysis path, so the planned chain's
+/// solving. The sweep batch planner's hook: construction is bit-shared
+/// with the cached analysis path, so the planned chain's
 /// [`Qbd::signature`] matches the one evaluation will look up.
 ///
 /// # Errors
@@ -249,22 +316,20 @@ pub fn plan_qbd_cached(
     }
     cache.qbd_plan(report_key(hosts, &snapped, fit), || {
         let fits = fit_slot_busy_periods(hosts, &snapped, fit, Some(cache))?;
-        build_qbd(hosts, &snapped, fits.as_ref().map(|f| (&f.0 .0, &f.1 .0)))
+        let phs = fits.as_ref().map(|f| (&f.0 .0, &f.1 .0));
+        build_with_layout(&KmLayout::new(hosts, phs), &snapped, phs, None)
     })
 }
 
 /// Moments of a slot's `B_L`: the M/G/1 busy period of the slot's own
-/// Poisson(`λ_L / m`) long stream. At `m = 1` this is exactly
-/// [`crate::cs_cq::bl_moments`].
+/// Poisson(`λ_L / m`) long stream.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::Param`] if the slot load `ρ_L / m ≥ 1` or `m == 0`.
 pub fn bl_moments(hosts: Hosts, params: &SystemParams) -> Result<Moments3, AnalysisError> {
     if hosts.m == 0 {
-        return Err(AnalysisError::Param(DistError::Inconsistent {
-            reason: "a fleet without stealing hosts has no long busy periods",
-        }));
+        return Err(no_long_class());
     }
     Ok(busy::mg1_busy(
         params.lambda_l() / hosts.m as f64,
@@ -274,22 +339,88 @@ pub fn bl_moments(hosts: Hosts, params: &SystemParams) -> Result<Moments3, Analy
 
 /// Moments of a slot's `B_{N+1}`: the busy period started by the longs
 /// accumulated while waiting `I ~ Exp((k + m) μ_S)` for a short completion
-/// (all `k + m` servers busy with shorts). At `m = 1` this is exactly
-/// [`crate::cs_cq::bn_moments`].
+/// (all `k + m` servers busy with shorts).
 ///
 /// # Errors
 ///
 /// As for [`bl_moments`].
 pub fn bn_moments(hosts: Hosts, params: &SystemParams) -> Result<Moments3, AnalysisError> {
     if hosts.m == 0 {
-        return Err(AnalysisError::Param(DistError::Inconsistent {
-            reason: "a fleet without stealing hosts has no long busy periods",
-        }));
+        return Err(no_long_class());
     }
     Ok(busy::bn1(
         params.lambda_l() / hosts.m as f64,
         params.long_moments(),
         (hosts.k + hosts.m) as f64 * params.mu_s(),
+    )?)
+}
+
+fn no_long_class() -> AnalysisError {
+    AnalysisError::Param(DistError::Inconsistent {
+        reason: "a fleet without stealing hosts has no long busy periods",
+    })
+}
+
+/// The stationary distribution of the number of short jobs in system,
+/// `P(N_S = n)` for `n = 0 ..= n_max` (see `crate::cs_cq::shorts_distribution`).
+pub(crate) fn shorts_distribution(
+    hosts: Hosts,
+    params: &SystemParams,
+    n_max: usize,
+) -> Result<Vec<f64>, AnalysisError> {
+    let (rho_s, rho_l) = (params.rho_s(), params.rho_l());
+    if !stability::is_stable_km(hosts.k, hosts.m, rho_s, rho_l) {
+        return Err(unstable_error(hosts, rho_s, rho_l));
+    }
+    let fits = fit_slot_busy_periods(hosts, params, BusyPeriodFit::ThreeMoment, None)?;
+    let phs = fits.as_ref().map(|f| (&f.0 .0, &f.1 .0));
+    let layout = KmLayout::new(hosts, phs);
+    let sol = build_with_layout(&layout, params, phs, None)?.solve_in(&mut Workspace::new())?;
+
+    // Boundary level n holds n shorts; repeating level j holds k + m + j.
+    let levels = layout.k + layout.m;
+    let mut dist = Vec::with_capacity(n_max + 1);
+    for n in 0..levels.min(n_max + 1) {
+        dist.push(
+            sol.boundary()[layout.offsets[n]..layout.offsets[n + 1]]
+                .iter()
+                .sum(),
+        );
+    }
+    if n_max >= levels {
+        dist.extend(sol.level_masses(n_max + 1 - levels));
+    }
+    // Refuse to return a silently truncated distribution: the emitted mass
+    // must account for everything but a negligible tail (relative to the
+    // chain's own total mass, which is 1 up to solver roundoff).
+    let emitted: f64 = dist.iter().sum();
+    let tail = (sol.total_mass() - emitted).max(0.0);
+    const TAIL_TOL: f64 = 1e-6;
+    if tail > TAIL_TOL {
+        return Err(AnalysisError::Truncated {
+            n_max,
+            tail_mass: tail,
+            tolerance: TAIL_TOL,
+        });
+    }
+    Ok(dist)
+}
+
+/// Per-slot long response: an M/G/1 at rate `λ_L / m` whose busy periods
+/// pay a setup `K = Exp((k + m) μ_S)` with probability `p_setup`.
+pub(crate) fn long_response_with_setup(
+    hosts: Hosts,
+    params: &SystemParams,
+    p_setup: f64,
+) -> Result<f64, AnalysisError> {
+    let theta = (hosts.k + hosts.m) as f64 * params.mu_s();
+    let k1 = p_setup / theta;
+    let k2 = 2.0 * p_setup / (theta * theta);
+    Ok(mg1::mean_response_with_setup(
+        params.lambda_l() / hosts.m as f64,
+        params.long_moments(),
+        k1,
+        k2,
     )?)
 }
 
@@ -307,10 +438,20 @@ fn unstable_error(hosts: Hosts, rho_s: f64, rho_l: f64) -> AnalysisError {
     }
 }
 
-type SlotFits = (
-    (Ph, cyclesteal_dist::match3::MatchQuality),
-    (Ph, cyclesteal_dist::match3::MatchQuality),
-);
+/// A MAP driving the chain must carry the `λ_S` that `params` records
+/// (the stability check and Little's law use it).
+fn check_arrival_rate(params: &SystemParams, arrivals: Option<&Map>) -> Result<(), AnalysisError> {
+    match arrivals {
+        Some(map) if (map.rate() - params.lambda_s()).abs() > 1e-9 * params.lambda_s() => {
+            Err(AnalysisError::Param(DistError::Inconsistent {
+                reason: "MAP arrival rate must equal params.lambda_s()",
+            }))
+        }
+        _ => Ok(()),
+    }
+}
+
+type SlotFits = ((Ph, MatchQuality), (Ph, MatchQuality));
 
 /// Fits both per-slot busy periods, or `None` for `m = 0` (no long class).
 fn fit_slot_busy_periods(
@@ -327,15 +468,47 @@ fn fit_slot_busy_periods(
     Ok(Some((bl, bn)))
 }
 
+fn fit_busy_period_cached(
+    m: Moments3,
+    fit: BusyPeriodFit,
+    cache: Option<&SolveCache>,
+) -> Result<(Ph, MatchQuality), AnalysisError> {
+    match cache {
+        Some(c) => c.fit(m, fit.tag(), || fit_busy_period(m, fit)),
+        None => fit_busy_period(m, fit),
+    }
+}
+
+fn fit_busy_period(m: Moments3, fit: BusyPeriodFit) -> Result<(Ph, MatchQuality), AnalysisError> {
+    match fit {
+        BusyPeriodFit::MeanOnly => Ok((Ph::exponential(1.0 / m.mean())?, MatchQuality::MeanOnly)),
+        BusyPeriodFit::TwoMoment => {
+            // Re-derive a feasible triple with the right mean and scv but a
+            // conventional third moment, then match it exactly.
+            let doctored = Moments3::from_mean_scv_balanced(m.mean(), m.scv().max(1e-9))?;
+            let f = match3::fit_ph(doctored)?;
+            Ok((f.ph, MatchQuality::ExactTwo))
+        }
+        BusyPeriodFit::ThreeMoment => {
+            let f = match3::fit_ph(m)?;
+            Ok((f.ph, f.quality))
+        }
+    }
+}
+
+/// The one analysis pipeline: stability precheck, busy-period fits, chain
+/// (planned through the cache when one is given), solution, report.
 fn analyze_inner(
     hosts: Hosts,
     params: &SystemParams,
     fit: BusyPeriodFit,
+    arrivals: Option<&Map>,
     cache: Option<&SolveCache>,
     ws: &mut Workspace,
 ) -> Result<CsCqReport, AnalysisError> {
-    cyclesteal_obs::span!("core.cs_cq_km.analyze");
-    cyclesteal_obs::counter!("core.cs_cq_km.analyze");
+    cyclesteal_obs::span!("core.cs_cq.analyze");
+    cyclesteal_obs::counter!("core.cs_cq.analyze");
+    check_arrival_rate(params, arrivals)?;
     let (rho_s, rho_l) = (params.rho_s(), params.rho_l());
     if !stability::is_stable_km(hosts.k, hosts.m, rho_s, rho_l) {
         return Err(unstable_error(hosts, rho_s, rho_l));
@@ -345,14 +518,16 @@ fn analyze_inner(
     let phs = fits.as_ref().map(|f| (&f.0 .0, &f.1 .0));
     let layout = KmLayout::new(hosts, phs);
     let qbd = match cache {
-        // Sound because the cached path always sees the same snapped
-        // workload the key encodes (see [`analyze_cached_in`]); a plan
-        // seeded by a batch presolve is reused here instead of assembling
-        // the block matrices a second time.
+        // The plan key carries no arrival-process information; it is sound
+        // because the cached path always drives the chain with Poisson
+        // arrivals at the snapped workload the key encodes (see
+        // [`analyze_cached_in`]; [`analyze_map`] passes no cache). A plan
+        // seeded by a batch presolve is reused instead of assembling the
+        // block matrices a second time.
         Some(c) => c.qbd_plan(report_key(hosts, params, fit), || {
-            build_with_layout(&layout, params, phs)
+            build_with_layout(&layout, params, phs, None)
         })?,
-        None => build_with_layout(&layout, params, phs)?,
+        None => build_with_layout(&layout, params, phs, arrivals)?,
     };
     let sol = match cache {
         Some(c) => c.qbd_solution(&qbd, ws)?,
@@ -360,12 +535,12 @@ fn analyze_inner(
     };
 
     // E[N_S]: boundary level n holds n shorts; repeating level j holds
-    // (k + m) + j. At (1, 1) this is exactly the 2-host expression
-    // `level1_mass + 2·repeating_mass + expected_level_index`.
+    // (k + m) + j.
     let (k, m) = (hosts.k, hosts.m);
+    let ka = arrivals.map_or(1, Map::dim);
     let mut mean_shorts = 0.0;
     for n in 1..(k + m) {
-        let mass: f64 = sol.boundary()[layout.offsets[n]..layout.offsets[n + 1]]
+        let mass: f64 = sol.boundary()[layout.offsets[n] * ka..layout.offsets[n + 1] * ka]
             .iter()
             .sum();
         mean_shorts += n as f64 * mass;
@@ -375,64 +550,55 @@ fn analyze_inner(
     let short_response = mean_shorts / params.lambda_s();
 
     // Region probabilities, slot-averaged (PASTA over the uniformly chosen
-    // slot of an arriving long): region 1 = slot free and a server idle,
-    // region 2 = slot free but every server busy, region 5 = a long waits
-    // at the slot. Boundary first, then the repeating aggregate, so the
-    // (1, 1) accumulation order matches the 2-host loop term for term.
+    // slot of an arriving long; long arrivals stay Poisson whatever drives
+    // the shorts): region 1 = slot free and a server idle, region 2 = slot
+    // free but every server busy, region 5 = a long waits at the slot.
+    // Arrival phase outermost, then the boundary, then the repeating
+    // aggregate: the accumulation order is part of the report's bits.
     let mut p_region1 = 0.0;
     let mut p_region2 = 0.0;
     let mut p_region5 = 0.0;
     let (setup_probability, long_response) = if m == 0 {
         (0.0, 0.0)
     } else {
-        for n in 0..(k + m) {
-            for (pos, &p) in layout.levels[n].iter().enumerate() {
-                let x = sol.boundary()[layout.offsets[n] + pos];
-                let info = layout.info[p];
-                if info.free >= 1 {
-                    let w = info.free as f64 / m as f64;
-                    if n < layout.avail(p) {
-                        p_region1 += w * x;
-                    } else {
-                        p_region2 += w * x;
+        let phase_mass = sol.phase_mass();
+        for a in 0..ka {
+            for n in 0..(k + m) {
+                for (pos, &p) in layout.level(n).iter().enumerate() {
+                    let x = sol.boundary()[(layout.offsets[n] + pos) * ka + a];
+                    let info = layout.info[p];
+                    if info.free >= 1 {
+                        let w = info.free as f64 / m as f64;
+                        if n < layout.avail(p) {
+                            p_region1 += w * x;
+                        } else {
+                            p_region2 += w * x;
+                        }
                     }
+                    if info.r5 >= 1 {
+                        p_region5 += info.r5 as f64 / m as f64 * x;
+                    }
+                }
+            }
+            for (p, info) in layout.info.iter().enumerate() {
+                let x = phase_mass[p * ka + a];
+                if info.free >= 1 {
+                    // No server is ever idle at repeating levels (n ≥ k + m).
+                    p_region2 += info.free as f64 / m as f64 * x;
                 }
                 if info.r5 >= 1 {
                     p_region5 += info.r5 as f64 / m as f64 * x;
                 }
             }
         }
-        let phase_mass = sol.phase_mass();
-        for (info, &x) in layout.info.iter().zip(&phase_mass) {
-            if info.free >= 1 {
-                // No server is ever idle at repeating levels (n ≥ k + m).
-                p_region2 += info.free as f64 / m as f64 * x;
-            }
-            if info.r5 >= 1 {
-                p_region5 += info.r5 as f64 / m as f64 * x;
-            }
-        }
         let p_setup = p_region2 / (p_region1 + p_region2);
-        // Per-slot M/G/1 with setup K = Exp((k + m) μ_S) w.p. p_setup.
-        let theta = (k + m) as f64 * params.mu_s();
-        let k1 = p_setup / theta;
-        let k2 = 2.0 * p_setup / (theta * theta);
-        let long_response = mg1::mean_response_with_setup(
-            params.lambda_l() / m as f64,
-            params.long_moments(),
-            k1,
-            k2,
-        )?;
-        (p_setup, long_response)
+        (p_setup, long_response_with_setup(hosts, params, p_setup)?)
     };
 
     let (bl_match, bn_match) = match &fits {
         Some(((_, blq), (_, bnq))) => (*blq, *bnq),
         // m = 0: no busy periods exist; report the trivial quality.
-        None => (
-            cyclesteal_dist::match3::MatchQuality::MeanOnly,
-            cyclesteal_dist::match3::MatchQuality::MeanOnly,
-        ),
+        None => (MatchQuality::MeanOnly, MatchQuality::MeanOnly),
     };
     Ok(CsCqReport {
         short_response,
@@ -459,27 +625,32 @@ struct PhaseInfo {
     r5: usize,
 }
 
-/// Phase enumeration and boundary layout of the `(k, m)` chain.
+/// A sorted slot-state tuple; only the first `m` entries are used.
+type Tuple = [u8; MAX_HOSTS];
+
+/// Phase enumeration and boundary layout of the `(k, m)` chain (slot
+/// phases only; the arrival phase multiplies every index by `ka`).
 ///
 /// Slot-state ids: `F = 0`, `BL(i) = 1 + i`, `BN(j) = 1 + k1 + j`,
 /// `R5 = 1 + k1 + k2`. Phases are the sorted (non-decreasing) slot-state
-/// tuples of length `m`, in lexicographic order — the bit-identity
-/// contract with the 2-host chain at `m = 1`.
+/// tuples of length `m`, in lexicographic order — at `m = 1` the paper's
+/// phase order.
 struct KmLayout {
     k: usize,
     m: usize,
     k1: usize,
     k2: usize,
-    phases: Vec<Vec<u8>>,
+    phases: Vec<Tuple>,
     info: Vec<PhaseInfo>,
-    /// Valid phase ids per boundary level `0 .. k + m`, ascending.
-    levels: Vec<Vec<usize>>,
+    /// Valid phase ids of every boundary level, level by level, ascending
+    /// within a level: level `n` is `level_phases[offsets[n]..offsets[n + 1]]`.
+    level_phases: Vec<usize>,
     /// `offsets[n]` = boundary index of level `n`'s first phase;
     /// `offsets[k + m]` = total boundary dimension.
     offsets: Vec<usize>,
-    /// `level_pos[n][p]` = position of phase `p` within level `n`
+    /// `level_pos[n * np + p]` = position of phase `p` within level `n`
     /// (`usize::MAX` when invalid there).
-    level_pos: Vec<Vec<usize>>,
+    level_pos: Vec<usize>,
 }
 
 impl KmLayout {
@@ -490,16 +661,18 @@ impl KmLayout {
             None => (0, 0),
         };
         let hs = if m == 0 { 0 } else { 2 + k1 + k2 };
-        let mut phases = Vec::new();
-        let mut cur = Vec::new();
-        enumerate_multisets(&mut phases, &mut cur, 0, m, hs as u8);
+        // C(hs + m − 1, m) multisets of size m over hs slot states.
+        let np = (1..=m).fold(1, |c, i| c * (hs + i - 1) / i);
+        let mut phases = Vec::with_capacity(np);
+        enumerate_multisets(&mut phases, &mut [0; MAX_HOSTS], 0, m, 0, hs as u8);
+        debug_assert_eq!(phases.len(), np);
 
+        let r5_id = (1 + k1 + k2) as u8;
         let info: Vec<PhaseInfo> = phases
             .iter()
             .map(|t| {
-                let r5_id = (1 + k1 + k2) as u8;
-                let free = t.iter().filter(|&&s| s == 0).count();
-                let r5 = t.iter().filter(|&&s| s == r5_id).count();
+                let free = t[..m].iter().filter(|&&s| s == 0).count();
+                let r5 = t[..m].iter().filter(|&&s| s == r5_id).count();
                 PhaseInfo {
                     free,
                     r5,
@@ -508,25 +681,19 @@ impl KmLayout {
             })
             .collect();
 
-        let mut levels = Vec::with_capacity(k + m);
+        let mut level_phases = Vec::with_capacity((k + m) * np);
         let mut offsets = Vec::with_capacity(k + m + 1);
-        let mut level_pos = Vec::with_capacity(k + m);
-        let mut off = 0;
+        let mut level_pos = vec![usize::MAX; (k + m) * np];
         for n in 0..(k + m) {
-            let mut valid = Vec::new();
-            let mut pos = vec![usize::MAX; phases.len()];
+            offsets.push(level_phases.len());
             for (p, i) in info.iter().enumerate() {
                 if i.r5 == 0 || n >= k + i.free + i.r5 {
-                    pos[p] = valid.len();
-                    valid.push(p);
+                    level_pos[n * np + p] = level_phases.len() - offsets[n];
+                    level_phases.push(p);
                 }
             }
-            offsets.push(off);
-            off += valid.len();
-            levels.push(valid);
-            level_pos.push(pos);
         }
-        offsets.push(off);
+        offsets.push(level_phases.len());
 
         KmLayout {
             k,
@@ -535,10 +702,15 @@ impl KmLayout {
             k2,
             phases,
             info,
-            levels,
+            level_phases,
             offsets,
             level_pos,
         }
+    }
+
+    /// Valid phase ids at boundary level `n`, ascending.
+    fn level(&self, n: usize) -> &[usize] {
+        &self.level_phases[self.offsets[n]..self.offsets[n + 1]]
     }
 
     /// Servers available to shorts in phase `p`: `k + m` minus the slots
@@ -562,93 +734,108 @@ impl KmLayout {
         (1 + self.k1 + self.k2) as u8
     }
 
-    fn index_of(&self, t: &[u8]) -> usize {
+    /// Phase id of a sorted tuple (only `t[..m]` is read).
+    fn index_of(&self, t: &Tuple) -> usize {
+        let m = self.m;
         self.phases
-            .binary_search_by(|x| x.as_slice().cmp(t))
+            .binary_search_by(|x| x[..m].cmp(&t[..m]))
             .expect("every sorted slot tuple is enumerated")
     }
 
     /// Phase reached from `p` by moving one slot `from → to`.
     fn replace(&self, p: usize, from: u8, to: u8) -> usize {
-        let mut t = self.phases[p].clone();
-        let pos = t
+        let mut t = self.phases[p];
+        let slots = &mut t[..self.m];
+        let pos = slots
             .iter()
             .position(|&s| s == from)
             .expect("slot state present in phase");
-        t[pos] = to;
-        t.sort_unstable();
+        slots[pos] = to;
+        slots.sort_unstable();
         self.index_of(&t)
     }
 
     /// Phase reached from `p` by moving two slots at once.
     fn replace2(&self, p: usize, from1: u8, to1: u8, from2: u8, to2: u8) -> usize {
-        let mut t = self.phases[p].clone();
-        let pos1 = t
+        let mut t = self.phases[p];
+        let slots = &mut t[..self.m];
+        let pos1 = slots
             .iter()
             .position(|&s| s == from1)
             .expect("first slot state present");
-        t[pos1] = to1;
-        let pos2 = t
+        slots[pos1] = to1;
+        let pos2 = slots
             .iter()
             .enumerate()
             .position(|(i, &s)| s == from2 && i != pos1)
             .expect("second slot state present");
-        t[pos2] = to2;
-        t.sort_unstable();
+        slots[pos2] = to2;
+        slots.sort_unstable();
         self.index_of(&t)
     }
 
-    /// Boundary column of phase `p` at level `n` (must be valid there).
+    /// Boundary index of phase `p` at level `n` (must be valid there).
     fn bidx(&self, n: usize, p: usize) -> usize {
-        let pos = self.level_pos[n][p];
+        let pos = self.level_pos[n * self.phases.len() + p];
         debug_assert_ne!(pos, usize::MAX, "phase invalid at boundary level");
         self.offsets[n] + pos
     }
 
     /// Distinct `(state, count)` runs of phase `p`'s sorted tuple.
-    fn runs(&self, p: usize) -> Vec<(u8, usize)> {
-        let mut out: Vec<(u8, usize)> = Vec::new();
-        for &s in &self.phases[p] {
-            match out.last_mut() {
-                Some((last, c)) if *last == s => *c += 1,
-                _ => out.push((s, 1)),
-            }
-        }
-        out
+    fn runs(&self, p: usize) -> impl Iterator<Item = (u8, usize)> + '_ {
+        self.phases[p][..self.m]
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len()))
     }
 }
 
-/// Non-decreasing tuples of length `left` over `start..hs`, lex order.
-fn enumerate_multisets(out: &mut Vec<Vec<u8>>, cur: &mut Vec<u8>, start: u8, left: usize, hs: u8) {
-    if left == 0 {
-        out.push(cur.clone());
+/// Non-decreasing tuples of length `m` over `start..hs`, lex order; `cur`
+/// holds the first `len` entries of the tuple being built.
+fn enumerate_multisets(
+    out: &mut Vec<Tuple>,
+    cur: &mut Tuple,
+    len: usize,
+    m: usize,
+    start: u8,
+    hs: u8,
+) {
+    if len == m {
+        out.push(*cur);
         return;
     }
     for s in start..hs {
-        cur.push(s);
-        enumerate_multisets(out, cur, s, left - 1, hs);
-        cur.pop();
+        cur[len] = s;
+        enumerate_multisets(out, cur, len + 1, m, s, hs);
     }
 }
 
-fn build_qbd(
-    hosts: Hosts,
-    params: &SystemParams,
-    phs: Option<(&Ph, &Ph)>,
-) -> Result<Qbd, AnalysisError> {
-    let layout = KmLayout::new(hosts, phs);
-    build_with_layout(&layout, params, phs)
+/// Fills the diagonal of `local` so that the row sums of the concatenated
+/// blocks vanish.
+fn fix_diagonal(local: &mut Matrix, others: &[&Matrix]) {
+    for i in 0..local.rows() {
+        let mut out: f64 = 0.0;
+        for j in 0..local.cols() {
+            if j != i {
+                out += local[(i, j)];
+            }
+        }
+        for b in others {
+            out += b.row(i).iter().sum::<f64>();
+        }
+        local[(i, i)] = -out;
+    }
 }
 
-/// Assembles the six generator blocks. Every rate expression is written so
-/// that at `(k, m) = (1, 1)` it evaluates **bitwise** to the corresponding
-/// 2-host expression in `crate::cs_cq::build_qbd` (`1.0 · x ≡ x`,
-/// `λ_L · (1/1) ≡ λ_L`, `2 as f64 · μ_S ≡ 2.0 · μ_S`), making the two
-/// chains share their [`Qbd::signature`].
+/// Assembles the six generator blocks. The short arrival process is a MAP
+/// (`None` is Poisson at `λ_S`, the one-phase MAP whose `D1` is `[λ_S]`);
+/// the full phase space is the Kronecker product of the slot phases and the
+/// MAP phases, MAP phase innermost. Long arrivals remain Poisson — the
+/// busy-period transforms require it.
 fn build_with_layout(
     layout: &KmLayout,
     params: &SystemParams,
     phs: Option<(&Ph, &Ph)>,
+    arrivals: Option<&Map>,
 ) -> Result<Qbd, AnalysisError> {
     if let Some((bl, bn)) = phs {
         for ph in [bl, bn] {
@@ -663,9 +850,41 @@ fn build_with_layout(
 
     let (k, m) = (layout.k, layout.m);
     let (lambda_s, mu_s, lambda_l) = (params.lambda_s(), params.mu_s(), params.lambda_l());
+    let ka = arrivals.map_or(1, Map::dim);
     let np = layout.phases.len();
     let nb = layout.offsets[k + m];
     let bn_initial = phs.map(|(_, bn)| bn.initial());
+
+    // Inserts `rate · I_ka` from phase `from` to phase `to`: a transition
+    // that leaves the arrival phase alone.
+    let eye = |mat: &mut Matrix, from: usize, to: usize, rate: f64| {
+        for a in 0..ka {
+            mat[(from * ka + a, to * ka + a)] += rate;
+        }
+    };
+    // Inserts a `D1` block (short arrival; the arrival phase may change).
+    let arrive = |mat: &mut Matrix, from: usize, to: usize| match arrivals {
+        None => mat[(from, to)] += lambda_s,
+        Some(map) => {
+            for a in 0..ka {
+                for b in 0..ka {
+                    mat[(from * ka + a, to * ka + b)] += map.d1()[(a, b)];
+                }
+            }
+        }
+    };
+    // Inserts the `D0` off-diagonals (arrival-phase moves) within phase `p`.
+    let map_internal = |mat: &mut Matrix, p: usize| {
+        if let Some(map) = arrivals {
+            for a in 0..ka {
+                for b in 0..ka {
+                    if a != b {
+                        mat[(p * ka + a, p * ka + b)] += map.d0()[(a, b)];
+                    }
+                }
+            }
+        }
+    };
 
     // Down-transitions from phase `p` with `s` shorts in service: the
     // completion frees a server, which rescues the oldest waiting slot
@@ -677,12 +896,12 @@ fn build_with_layout(
                 return;
             }
             if layout.info[p].r5 == 0 {
-                mat[(row, col_of(p))] += s as f64 * mu_s;
+                eye(mat, row, col_of(p), s as f64 * mu_s);
             } else {
                 let init = bn_initial.expect("R5 slots require a long class");
                 for (j, &beta) in init.iter().enumerate().take(layout.k2) {
                     let q = layout.replace(p, layout.st_r5(), layout.st_bn(j));
-                    mat[(row, col_of(q))] += s as f64 * mu_s * beta;
+                    eye(mat, row, col_of(q), s as f64 * mu_s * beta);
                 }
             }
         };
@@ -698,13 +917,18 @@ fn build_with_layout(
                     // A long starts B_L on an idle server (region 1 → 3).
                     for j in 0..layout.k1 {
                         let q = layout.replace(p, 0, layout.st_bl(j));
-                        mat[(row, col_of(q))] +=
-                            lambda_l * (info.free as f64 / m as f64) * bl.initial()[j];
+                        let rate = lambda_l * (info.free as f64 / m as f64) * bl.initial()[j];
+                        eye(mat, row, col_of(q), rate);
                     }
                 } else {
                     // Every server is busy: the long waits (region 2 → 5).
                     let q = layout.replace(p, 0, layout.st_r5());
-                    mat[(row, col_of(q))] += lambda_l * (info.free as f64 / m as f64);
+                    eye(
+                        mat,
+                        row,
+                        col_of(q),
+                        lambda_l * (info.free as f64 / m as f64),
+                    );
                 }
             }
             // Busy-period Coxian dynamics, per distinct occupied stage.
@@ -726,7 +950,12 @@ fn build_with_layout(
                             layout.st_bn(j)
                         };
                         let q = layout.replace(p, state, to);
-                        mat[(row, col_of(q))] += count as f64 * ph.subgenerator()[(i, j)];
+                        eye(
+                            mat,
+                            row,
+                            col_of(q),
+                            count as f64 * ph.subgenerator()[(i, j)],
+                        );
                     }
                 }
                 // Busy period ends: the slot empties; the freed server
@@ -734,50 +963,54 @@ fn build_with_layout(
                 // (impossible at (1, 1), where b and r cannot coexist).
                 if info.r5 == 0 {
                     let q = layout.replace(p, state, 0);
-                    mat[(row, col_of(q))] += count as f64 * ph.exit_rates()[i];
+                    eye(mat, row, col_of(q), count as f64 * ph.exit_rates()[i]);
                 } else {
                     let init = bn_initial.expect("R5 slots require a long class");
                     for (j, &beta) in init.iter().enumerate().take(layout.k2) {
-                        let q =
-                            layout.replace2(p, state, 0, layout.st_r5(), layout.st_bn(j));
-                        mat[(row, col_of(q))] +=
-                            count as f64 * ph.exit_rates()[i] * beta;
+                        let q = layout.replace2(p, state, 0, layout.st_r5(), layout.st_bn(j));
+                        eye(
+                            mat,
+                            row,
+                            col_of(q),
+                            count as f64 * ph.exit_rates()[i] * beta,
+                        );
                     }
                 }
             }
         };
 
     // ---- Repeating blocks (levels n ≥ k + m: no server is ever idle) ----
-    let mut a0 = Matrix::zeros(np, np);
+    let mut a0 = Matrix::zeros(np * ka, np * ka);
     for p in 0..np {
-        a0[(p, p)] += lambda_s;
+        arrive(&mut a0, p, p);
     }
 
-    let mut a2 = Matrix::zeros(np, np);
+    let mut a2 = Matrix::zeros(np * ka, np * ka);
     for p in 0..np {
         emit_completion(&mut a2, p, p, layout.avail(p), &|q| q);
     }
 
-    let mut a1 = Matrix::zeros(np, np);
+    let mut a1 = Matrix::zeros(np * ka, np * ka);
     for p in 0..np {
         emit_local(&mut a1, p, p, false, &|q| q);
+        map_internal(&mut a1, p);
     }
     fix_diagonal(&mut a1, &[&a0, &a2]);
 
     // ---- Boundary blocks (levels 0 .. k + m − 1) ------------------------
-    let mut b00 = Matrix::zeros(nb, nb);
-    let mut b01 = Matrix::zeros(nb, np);
-    let mut b10 = Matrix::zeros(np, nb);
+    let mut b00 = Matrix::zeros(nb * ka, nb * ka);
+    let mut b01 = Matrix::zeros(nb * ka, np * ka);
+    let mut b10 = Matrix::zeros(np * ka, nb * ka);
 
     for n in 0..(k + m) {
-        for &p in &layout.levels[n] {
+        for &p in layout.level(n) {
             let row = layout.bidx(n, p);
             // Short arrival: up one level (into the repeating portion from
             // the last boundary level).
             if n + 1 < k + m {
-                b00[(row, layout.bidx(n + 1, p))] += lambda_s;
+                arrive(&mut b00, row, layout.bidx(n + 1, p));
             } else {
-                b01[(row, p)] += lambda_s;
+                arrive(&mut b01, row, p);
             }
             // Short completion: down one level.
             let s = n.min(layout.avail(p));
@@ -789,6 +1022,7 @@ fn build_with_layout(
             emit_local(&mut b00, row, p, n < layout.avail(p), &|q| {
                 layout.bidx(n, q)
             });
+            map_internal(&mut b00, row);
         }
     }
     fix_diagonal(&mut b00, &[&b01]);
@@ -806,28 +1040,10 @@ fn build_with_layout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cs_cq;
     use cyclesteal_mg1::mmc;
 
     fn exp_params(rho_s: f64, rho_l: f64) -> SystemParams {
         SystemParams::exponential(rho_s, 1.0, rho_l, 1.0).unwrap()
-    }
-
-    #[test]
-    fn one_one_chain_is_bit_identical_to_the_2host_chain() {
-        for (rho_s, rho_l) in [(0.5, 0.5), (1.2, 0.5), (1.45, 0.5), (0.9, 0.9)] {
-            let p = exp_params(rho_s, rho_l);
-            let two_host = cs_cq::build_qbd_model(&p, BusyPeriodFit::ThreeMoment).unwrap();
-            let fleet =
-                build_qbd_model(Hosts::paper(), &p, BusyPeriodFit::ThreeMoment).unwrap();
-            assert_eq!(fleet.boundary_dim(), two_host.boundary_dim());
-            assert_eq!(fleet.phase_dim(), two_host.phase_dim());
-            assert_eq!(
-                fleet.signature(),
-                two_host.signature(),
-                "({rho_s}, {rho_l}): the (1,1) fleet chain must reduce bit-for-bit"
-            );
-        }
     }
 
     #[test]
@@ -929,8 +1145,7 @@ mod tests {
         // Planner: 1 plan miss + 2 fit misses; seed: 1 qbd miss.
         let before = cache.stats();
         assert_eq!((before.hits, before.misses), (0, 4), "{before:?}");
-        let via_cache =
-            analyze_cached(hosts, &p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
+        let via_cache = analyze_cached(hosts, &p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
         // Analysis: one report miss; hits on both fits, the planned
         // chain, and the seeded QBD.
         let after = cache.stats();

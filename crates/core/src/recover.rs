@@ -8,7 +8,7 @@
 //! where a cheaper-but-sound method exists, and into attributed failures
 //! where it does not:
 //!
-//! * [`analyze_cs_cq_cached`] — degrades the busy-period fit order
+//! * [`analyze_cs_cq`] — degrades the busy-period fit order
 //!   (three-moment → two-moment → mean-only) when a fit is infeasible or
 //!   the QBD `R`-iteration exhausts both algorithms. Degraded results are
 //!   flagged (`degraded: true`) so reports never pass an approximation off
@@ -25,7 +25,7 @@
 
 use crate::cache::SolveCache;
 use crate::cs_cq::{self, BusyPeriodFit, CsCqReport};
-use crate::cs_cq_km;
+use crate::cs_cq_km::{self, Hosts};
 use crate::{AnalysisError, SystemParams};
 use cyclesteal_dist::DistError;
 use cyclesteal_linalg::Workspace;
@@ -42,6 +42,11 @@ pub struct Recovery {
     pub degraded: bool,
     /// The busy-period fit order used on the final attempt.
     pub fit: BusyPeriodFit,
+    /// `true` when a deadline's remaining budget could not afford the next
+    /// escalation and the ladder jumped straight to the mean-only rung
+    /// (always `false` without a deadline). A steered success is always
+    /// also `degraded`.
+    pub steered: bool,
 }
 
 /// The fit-order escalation ladder, strongest first. Each rung is exact
@@ -136,20 +141,6 @@ impl<'a> Deadline<'a> {
     }
 }
 
-/// What a deadline-budgeted ladder did: the ordinary [`Recovery`] plus
-/// whether the *deadline* (rather than a numeric failure) forced the
-/// ladder to skip ahead to the cheapest rung.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadlineRecovery {
-    /// Rungs tried and the fit that produced the outcome, exactly as in
-    /// the un-budgeted ladder.
-    pub recovery: Recovery,
-    /// `true` when remaining budget could not afford the next escalation
-    /// and the ladder jumped straight to the mean-only rung. A steered
-    /// success is always also `degraded`.
-    pub steered: bool,
-}
-
 /// Is this failure worth retrying with a lower fit order? Infeasible
 /// moment regions and exhausted `R`-iterations both depend on the fitted
 /// busy-period Coxians; a lower-order fit changes the chain and can
@@ -165,36 +156,9 @@ fn fit_retryable(e: &AnalysisError) -> bool {
     )
 }
 
-fn run_fit_ladder(
-    mut attempt: impl FnMut(BusyPeriodFit) -> Result<CsCqReport, AnalysisError>,
-) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    for (rung, &fit) in FIT_LADDER.iter().enumerate() {
-        let recovery = Recovery {
-            attempts: rung as u32 + 1,
-            degraded: rung > 0,
-            fit,
-        };
-        cyclesteal_obs::counter!("core.recover.attempts");
-        match attempt(fit) {
-            Ok(report) => {
-                cyclesteal_obs::histogram!("core.recover.ladder_depth", u64::from(recovery.attempts));
-                if recovery.degraded {
-                    cyclesteal_obs::counter!("core.recover.degraded");
-                }
-                return (Ok(report), recovery);
-            }
-            Err(e) if rung + 1 < FIT_LADDER.len() && fit_retryable(&e) => continue,
-            Err(e) => {
-                cyclesteal_obs::counter!("core.recover.exhausted");
-                return (Err(e), recovery);
-            }
-        }
-    }
-    unreachable!("the ladder returns from its last rung")
-}
-
-/// The fit ladder under a time budget. Same escalation rules as
-/// [`run_fit_ladder`], with three deadline-specific behaviours:
+/// The fit-order ladder: tries [`FIT_LADDER`] strongest first, moving one
+/// rung down after each retryable failure. Without a deadline that is the
+/// whole rule. With one, three behaviours are added:
 ///
 /// 1. **Expired at a rung boundary** → `DeadlineExceeded { stage }`
 ///    naming the rung that could not start (so an expired-on-arrival
@@ -212,52 +176,53 @@ fn run_fit_ladder(
 ///
 /// Budget decisions depend only on the injected [`Clock`] readings, so a
 /// scripted clock makes every branch of this ladder deterministic.
-fn run_fit_ladder_deadline(
-    deadline: &Deadline<'_>,
+fn run_fit_ladder(
+    deadline: Option<&Deadline<'_>>,
     mut attempt: impl FnMut(BusyPeriodFit) -> Result<CsCqReport, AnalysisError>,
-) -> (Result<CsCqReport, AnalysisError>, DeadlineRecovery) {
+) -> (Result<CsCqReport, AnalysisError>, Recovery) {
     let mut steered = false;
     let mut rung = 0usize;
     let mut attempts = 0u32;
     let last = FIT_LADDER.len() - 1;
     loop {
         let fit = FIT_LADDER[rung];
-        if deadline.expired() {
+        if let Some(d) = deadline.filter(|d| d.expired()) {
             cyclesteal_obs::counter!("core.recover.deadline_exceeded");
-            return (
-                Err(AnalysisError::DeadlineExceeded {
-                    stage: fit.name(),
-                    budget_ns: deadline.budget_ns(),
-                }),
-                DeadlineRecovery {
-                    recovery: Recovery {
-                        attempts,
-                        degraded: false,
-                        fit,
-                    },
-                    steered,
-                },
-            );
+            let error = AnalysisError::DeadlineExceeded {
+                stage: fit.name(),
+                budget_ns: d.budget_ns(),
+            };
+            let recovery = Recovery {
+                attempts,
+                degraded: false,
+                fit,
+                steered,
+            };
+            return (Err(error), recovery);
         }
         attempts += 1;
         let recovery = Recovery {
             attempts,
             degraded: rung > 0,
             fit,
+            steered,
         };
         cyclesteal_obs::counter!("core.recover.attempts");
-        let before = deadline.elapsed_ns();
+        let before = deadline.map_or(0, Deadline::elapsed_ns);
         match attempt(fit) {
             Ok(report) => {
                 cyclesteal_obs::histogram!("core.recover.ladder_depth", u64::from(attempts));
                 if recovery.degraded {
                     cyclesteal_obs::counter!("core.recover.degraded");
                 }
-                return (Ok(report), DeadlineRecovery { recovery, steered });
+                return (Ok(report), recovery);
             }
             Err(e) if rung < last && fit_retryable(&e) => {
-                let cost = deadline.elapsed_ns().saturating_sub(before);
-                if rung + 1 < last && deadline.remaining_ns() < cost {
+                let over_budget = deadline.is_some_and(|d| {
+                    let cost = d.elapsed_ns().saturating_sub(before);
+                    rung + 1 < last && d.remaining_ns() < cost
+                });
+                if over_budget {
                     rung = last;
                     steered = true;
                     cyclesteal_obs::counter!("core.recover.deadline_steered");
@@ -267,112 +232,58 @@ fn run_fit_ladder_deadline(
             }
             Err(e) => {
                 cyclesteal_obs::counter!("core.recover.exhausted");
-                return (Err(e), DeadlineRecovery { recovery, steered });
+                return (Err(e), recovery);
             }
         }
     }
 }
 
-/// CS-CQ analysis through a [`SolveCache`] with automatic fit-order
-/// degradation (see the [module docs](self)).
+/// CS-CQ analysis of the `hosts` fleet through a [`SolveCache`], with
+/// automatic fit-order degradation (see the [module docs](self)) and an
+/// optional time budget. This is the crate's one recovering CS-CQ entry;
+/// the paper's 2-host system is `Hosts::paper()`.
 ///
 /// Returns the outcome *and* the [`Recovery`] describing how it was
 /// reached; a degraded success reports `degraded: true` and the fit order
-/// actually used. The cache is keyed on `(params, fit)` exactly as
-/// [`cs_cq::analyze_cached`] keys it, so a degraded result can never
+/// actually used. Every rung solves out of the caller's scratch
+/// [`Workspace`] and is memoized under `(params, fit, hosts)` exactly as
+/// [`cs_cq_km::analyze_cached`] keys it, so a degraded result can never
 /// shadow a full-order one.
+///
+/// With `deadline: Some`, the ladder is budget-steered (expired budgets
+/// fail with [`AnalysisError::DeadlineExceeded`]; tight budgets jump
+/// straight to the mean-only rung and flag the result `steered` +
+/// `degraded`). Results that *are* produced remain pure functions of
+/// `(params, fit, hosts)`: the deadline picks which rung answers, never
+/// what a rung computes, so cached bit-identity survives.
 ///
 /// # Examples
 ///
 /// ```
 /// use cyclesteal_core::cache::SolveCache;
+/// use cyclesteal_core::cs_cq_km::Hosts;
 /// use cyclesteal_core::{recover, SystemParams};
+/// use cyclesteal_linalg::Workspace;
 ///
 /// # fn main() -> Result<(), cyclesteal_core::AnalysisError> {
 /// let cache = SolveCache::new();
 /// let p = SystemParams::exponential(1.1, 1.0, 0.5, 1.0)?;
-/// let (report, recovery) = recover::analyze_cs_cq_cached(&p, &cache);
+/// let mut ws = Workspace::new();
+/// let (report, recovery) = recover::analyze_cs_cq(Hosts::paper(), &p, &cache, &mut ws, None);
 /// assert!(report?.short_response.is_finite());
 /// assert_eq!(recovery.attempts, 1); // well-conditioned: no escalation
 /// assert!(!recovery.degraded);
 /// # Ok(())
 /// # }
 /// ```
-pub fn analyze_cs_cq_cached(
-    params: &SystemParams,
-    cache: &SolveCache,
-) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    analyze_cs_cq_cached_in(params, cache, &mut Workspace::new())
-}
-
-/// [`analyze_cs_cq_cached`] solving out of a caller-owned scratch
-/// [`Workspace`] (see [`cs_cq::analyze_cached_in`]). Every rung of the fit
-/// ladder reuses the same workspace; results are bit-identical to the
-/// plain variant.
-pub fn analyze_cs_cq_cached_in(
+pub fn analyze_cs_cq(
+    hosts: Hosts,
     params: &SystemParams,
     cache: &SolveCache,
     ws: &mut Workspace,
+    deadline: Option<&Deadline<'_>>,
 ) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    run_fit_ladder(|fit| cs_cq::analyze_cached_in(params, fit, cache, ws))
-}
-
-/// Uncached variant of [`analyze_cs_cq_cached`] (same ladder over
-/// [`cs_cq::analyze_with`]).
-pub fn analyze_cs_cq(params: &SystemParams) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    run_fit_ladder(|fit| cs_cq::analyze_with(params, fit))
-}
-
-/// The `(k, m)` fleet analysis through a [`SolveCache`] with the same
-/// fit-order degradation ladder as [`analyze_cs_cq_cached`]. At
-/// `Hosts::paper()` every rung calls a construction that is bit-identical
-/// to the 2-host one, so the ladder outcome matches too.
-pub fn analyze_cs_cq_km_cached(
-    hosts: cs_cq_km::Hosts,
-    params: &SystemParams,
-    cache: &SolveCache,
-) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    analyze_cs_cq_km_cached_in(hosts, params, cache, &mut Workspace::new())
-}
-
-/// [`analyze_cs_cq_km_cached`] solving out of a caller-owned scratch
-/// [`Workspace`]; results are bit-identical to the plain variant.
-pub fn analyze_cs_cq_km_cached_in(
-    hosts: cs_cq_km::Hosts,
-    params: &SystemParams,
-    cache: &SolveCache,
-    ws: &mut Workspace,
-) -> (Result<CsCqReport, AnalysisError>, Recovery) {
-    run_fit_ladder(|fit| cs_cq_km::analyze_cached_in(hosts, params, fit, cache, ws))
-}
-
-/// [`analyze_cs_cq_cached_in`] under a time budget: the fit ladder is
-/// steered by the [`Deadline`] (see [`run_fit_ladder_deadline`]'s rules —
-/// expired budgets fail with [`AnalysisError::DeadlineExceeded`], tight
-/// budgets jump straight to the mean-only rung and flag the result
-/// `steered` + `degraded`). Results that *are* produced remain pure
-/// functions of `(params, fit)`: the deadline picks which rung answers,
-/// never what a rung computes, so cached bit-identity survives.
-pub fn analyze_cs_cq_deadline_cached_in(
-    params: &SystemParams,
-    cache: &SolveCache,
-    ws: &mut Workspace,
-    deadline: &Deadline<'_>,
-) -> (Result<CsCqReport, AnalysisError>, DeadlineRecovery) {
-    run_fit_ladder_deadline(deadline, |fit| {
-        cs_cq::analyze_cached_in(params, fit, cache, ws)
-    })
-}
-
-/// The `(k, m)` fleet counterpart of [`analyze_cs_cq_deadline_cached_in`].
-pub fn analyze_cs_cq_km_deadline_cached_in(
-    hosts: cs_cq_km::Hosts,
-    params: &SystemParams,
-    cache: &SolveCache,
-    ws: &mut Workspace,
-    deadline: &Deadline<'_>,
-) -> (Result<CsCqReport, AnalysisError>, DeadlineRecovery) {
-    run_fit_ladder_deadline(deadline, |fit| {
+    run_fit_ladder(deadline, |fit| {
         cs_cq_km::analyze_cached_in(hosts, params, fit, cache, ws)
     })
 }
@@ -431,6 +342,7 @@ pub fn shorts_distribution(
             attempts,
             degraded: false,
             fit: BusyPeriodFit::ThreeMoment,
+            steered: false,
         };
         match cs_cq::shorts_distribution(params, n) {
             Ok(dist) => return (Ok(dist), recovery),
@@ -446,11 +358,19 @@ pub fn shorts_distribution(
 mod tests {
     use super::*;
 
+    /// The un-budgeted ladder on the paper's 2-host system.
+    fn paper_ladder(
+        p: &SystemParams,
+        cache: &SolveCache,
+    ) -> (Result<CsCqReport, AnalysisError>, Recovery) {
+        analyze_cs_cq(Hosts::paper(), p, cache, &mut Workspace::new(), None)
+    }
+
     #[test]
     fn clean_point_needs_no_escalation_and_matches_direct() {
         let cache = SolveCache::new();
         let p = SystemParams::exponential(1.1, 1.0, 0.5, 1.0).unwrap();
-        let (res, rec) = analyze_cs_cq_cached(&p, &cache);
+        let (res, rec) = paper_ladder(&p, &cache);
         let ladder = res.unwrap();
         assert_eq!(
             rec,
@@ -458,6 +378,7 @@ mod tests {
                 attempts: 1,
                 degraded: false,
                 fit: BusyPeriodFit::ThreeMoment,
+                steered: false,
             }
         );
         let direct = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
@@ -473,7 +394,7 @@ mod tests {
         let cache = SolveCache::new();
         // rho_s = 1.8 > 2 - rho_l = 1.5: genuinely unstable for CS-CQ.
         let p = SystemParams::exponential(1.8, 1.0, 0.5, 1.0).unwrap();
-        let (res, rec) = analyze_cs_cq_cached(&p, &cache);
+        let (res, rec) = paper_ladder(&p, &cache);
         assert!(matches!(res, Err(AnalysisError::Unstable { .. })));
         assert_eq!(rec.attempts, 1, "instability is not retryable");
         assert!(!rec.degraded);
@@ -488,7 +409,7 @@ mod tests {
         let p = SystemParams::exponential(1.1, 1.0, 0.5, 1.0).unwrap();
         let armed = fault::arm(fault::FaultPlan::new(21, 1.0, &["qbd.solve"]));
         let _scope = fault::Scope::enter("recover-unit");
-        let (res, rec) = analyze_cs_cq_cached(&p, &cache);
+        let (res, rec) = paper_ladder(&p, &cache);
         // Every rung's QBD solve is injected to fail, so the ladder must
         // exhaust all three fit orders and surface the chain error.
         assert!(matches!(
@@ -501,7 +422,7 @@ mod tests {
         assert!(rec.degraded);
         assert_eq!(rec.fit, BusyPeriodFit::MeanOnly);
         drop(armed);
-        let (res, rec) = analyze_cs_cq_cached(&p, &cache);
+        let (res, rec) = paper_ladder(&p, &cache);
         assert!(res.is_ok(), "disarmed: clean analysis");
         assert_eq!(rec.attempts, 1);
     }
@@ -561,7 +482,7 @@ mod tests {
             let clock = StepClock::new(0, 0);
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 0);
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |_| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |_| {
                 panic!("an expired budget must not start work")
             });
             assert!(matches!(
@@ -571,7 +492,7 @@ mod tests {
                     budget_ns: 0,
                 })
             ));
-            assert_eq!(rec.recovery.attempts, 0);
+            assert_eq!(rec.attempts, 0);
             assert!(!rec.steered);
         }
 
@@ -580,14 +501,14 @@ mod tests {
             let clock = StepClock::new(0, 0);
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 1_000);
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |fit| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |fit| {
                 clock.advance(10);
                 assert_eq!(fit, BusyPeriodFit::ThreeMoment);
                 Ok(report_tagged(3.0))
             });
             assert_eq!(res.unwrap().short_response, 3.0);
-            assert_eq!(rec.recovery.attempts, 1);
-            assert!(!rec.recovery.degraded);
+            assert_eq!(rec.attempts, 1);
+            assert!(!rec.degraded);
             assert!(!rec.steered);
         }
 
@@ -600,7 +521,7 @@ mod tests {
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 100);
             let mut tried = Vec::new();
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |fit| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |fit| {
                 tried.push(fit);
                 match fit {
                     BusyPeriodFit::ThreeMoment => {
@@ -620,9 +541,29 @@ mod tests {
             );
             assert_eq!(res.unwrap().short_response, 1.0);
             assert!(rec.steered);
-            assert!(rec.recovery.degraded);
-            assert_eq!(rec.recovery.attempts, 2);
-            assert_eq!(rec.recovery.fit, BusyPeriodFit::MeanOnly);
+            assert!(rec.degraded);
+            assert_eq!(rec.attempts, 2);
+            assert_eq!(rec.fit, BusyPeriodFit::MeanOnly);
+        }
+
+        #[test]
+        fn no_deadline_walks_every_rung_and_never_steers() {
+            let mut tried = Vec::new();
+            let (res, rec) = run_fit_ladder(None, |fit| {
+                tried.push(fit);
+                Err(retryable())
+            });
+            assert_eq!(tried, FIT_LADDER.to_vec());
+            assert!(matches!(res, Err(AnalysisError::Chain(_))));
+            assert_eq!(
+                rec,
+                Recovery {
+                    attempts: 3,
+                    degraded: true,
+                    fit: BusyPeriodFit::MeanOnly,
+                    steered: false,
+                }
+            );
         }
 
         #[test]
@@ -634,7 +575,7 @@ mod tests {
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 1_000);
             let mut tried = Vec::new();
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |fit| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |fit| {
                 tried.push(fit);
                 clock.advance(60);
                 if fit == BusyPeriodFit::MeanOnly {
@@ -646,8 +587,8 @@ mod tests {
             assert_eq!(tried, FIT_LADDER.to_vec());
             assert!(res.is_ok());
             assert!(!rec.steered, "nothing was skipped, only escalated");
-            assert!(rec.recovery.degraded);
-            assert_eq!(rec.recovery.attempts, 3);
+            assert!(rec.degraded);
+            assert_eq!(rec.attempts, 3);
         }
 
         #[test]
@@ -657,7 +598,7 @@ mod tests {
             let clock = StepClock::new(0, 0);
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 100);
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |fit| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |fit| {
                 assert_eq!(fit, BusyPeriodFit::ThreeMoment);
                 clock.advance(100);
                 Err(retryable())
@@ -670,7 +611,7 @@ mod tests {
                 })
             ));
             assert!(rec.steered);
-            assert_eq!(rec.recovery.attempts, 1);
+            assert_eq!(rec.attempts, 1);
         }
 
         #[test]
@@ -680,13 +621,13 @@ mod tests {
             let clock = StepClock::new(0, 0);
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 50);
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |_| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |_| {
                 clock.advance(500);
                 Ok(report_tagged(3.0))
             });
             assert_eq!(res.unwrap().short_response, 3.0);
-            assert_eq!(rec.recovery.attempts, 1);
-            assert!(!rec.recovery.degraded);
+            assert_eq!(rec.attempts, 1);
+            assert!(!rec.degraded);
         }
 
         #[test]
@@ -694,7 +635,7 @@ mod tests {
             let clock = StepClock::new(0, 0);
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, 1_000);
-            let (res, rec) = run_fit_ladder_deadline(&deadline, |_| {
+            let (res, rec) = run_fit_ladder(Some(&deadline), |_| {
                 Err(AnalysisError::Unstable {
                     policy: "CS-CQ",
                     rho_s: 1.9,
@@ -703,7 +644,7 @@ mod tests {
                 })
             });
             assert!(matches!(res, Err(AnalysisError::Unstable { .. })));
-            assert_eq!(rec.recovery.attempts, 1, "instability is terminal");
+            assert_eq!(rec.attempts, 1, "instability is terminal");
             assert!(!rec.steered);
         }
 
@@ -715,7 +656,8 @@ mod tests {
             let f = clock.as_fn();
             let deadline = Deadline::start(&f, u64::MAX);
             let mut ws = Workspace::new();
-            let (res, rec) = analyze_cs_cq_deadline_cached_in(&p, &cache, &mut ws, &deadline);
+            let (res, rec) =
+                analyze_cs_cq(Hosts::paper(), &p, &cache, &mut ws, Some(&deadline));
             let budgeted = res.unwrap();
             let direct = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
             assert_eq!(
@@ -723,7 +665,7 @@ mod tests {
                 direct.short_response.to_bits(),
                 "the deadline picks rungs, never changes what a rung computes"
             );
-            assert_eq!(rec.recovery.attempts, 1);
+            assert_eq!(rec.attempts, 1);
             assert!(!rec.steered);
         }
     }

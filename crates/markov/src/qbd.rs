@@ -210,7 +210,7 @@ impl Qbd {
     /// Solves the QBD: logarithmic reduction first, and on
     /// [`MarkovError::NoConvergence`] automatically retries with
     /// functional iteration under a raised cap
-    /// ([`FI_FALLBACK_MAX_ITER`]) before giving up. The retry ladder is
+    /// (`FI_FALLBACK_MAX_ITER`) before giving up. The retry ladder is
     /// deterministic — both budgets are fixed iteration counts.
     ///
     /// # Errors
@@ -376,7 +376,7 @@ impl Qbd {
     /// regardless of batch size or composition. Lanes that leave the
     /// batched fast path for any reason (injected `qbd.solve` fault,
     /// drift-ratio instability, a singular intermediate factorization,
-    /// divergence to non-finite values, or exhausting [`LR_MAX_ITER`]) are
+    /// divergence to non-finite values, or exhausting `LR_MAX_ITER`) are
     /// replayed wholesale through the scalar [`Qbd::solve_in`] — fallback
     /// ladder included — which reproduces the scalar result and telemetry
     /// for that lane exactly. The batch layer is therefore a pure

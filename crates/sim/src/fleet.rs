@@ -414,7 +414,7 @@ impl<'a> FleetEngine<'a> {
     }
 }
 
-/// Runs one fleet simulation (see the [module docs](self) for the model
+/// Runs one fleet simulation (the fleet module docs describe the model
 /// and the determinism contract).
 ///
 /// # Panics

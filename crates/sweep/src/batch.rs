@@ -10,7 +10,7 @@
 //! per lane (every batched kernel replays the scalar floating-point
 //! sequence, and every convergence/fallback decision is per-lane — see
 //! `cyclesteal_markov::qbd`), and the planner builds each chain through
-//! [`cs_cq::plan_qbd_cached`], the exact construction path the cached
+//! [`cs_cq_km::plan_qbd_cached`], the exact construction path the cached
 //! evaluation uses on a miss. A seeded solution is therefore the same
 //! bits evaluation would have computed itself; the presolve phase is a
 //! pure reordering of work. Error results are never seeded — a failing
@@ -23,8 +23,8 @@
 //! would let a clean presolve mask an injection site.
 
 use cyclesteal_core::cache::SolveCache;
-use cyclesteal_core::cs_cq::{self, BusyPeriodFit};
-use cyclesteal_core::cs_cq_km;
+use cyclesteal_core::cs_cq::BusyPeriodFit;
+use cyclesteal_core::cs_cq_km::{self, Hosts};
 use cyclesteal_core::stability::{self, Policy};
 use cyclesteal_core::SystemParams;
 use cyclesteal_linalg::Workspace;
@@ -114,19 +114,16 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<(u1
         if point.evaluator != Evaluator::Analysis || point.policy != Policy::CsCq {
             continue;
         }
-        // Non-(1,1) points also block on extend_longs, which the fleet
-        // evaluator rejects outright — nothing would consume a presolve.
-        if point.hosts != (1, 1) && point.extend_longs {
+        // Fleet points also block on extend_longs, which the evaluator
+        // rejects outright at (k, m) != (1, 1) — nothing would consume a
+        // presolve.
+        if point.extend_longs && point.hosts != (1, 1) {
             continue;
         }
-        // Same Theorem-1 precheck as the evaluator: genuinely unstable
+        // Same stability precheck as the evaluator: genuinely unstable
         // points never reach the QBD solver at all.
-        let stable = if point.hosts == (1, 1) {
-            stability::is_stable(Policy::CsCq, point.rho_s, point.rho_l)
-        } else {
-            stability::is_stable_km(point.hosts.0, point.hosts.1, point.rho_s, point.rho_l)
-        };
-        if !stable {
+        let (k, m) = point.hosts;
+        if !stability::is_stable_km(k, m, point.rho_s, point.rho_l) {
             continue;
         }
         if fault::planned_site(&SweepRow::id_of(point)).is_some() {
@@ -144,17 +141,12 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<(u1
             continue;
         };
         // The first rung of the recovery ladder — the fit the evaluator
-        // will try first; deeper rungs are rare and stay scalar. Fleet
-        // points plan through the (k, m) builder, whose block shapes —
-        // and therefore the shape groups formed below — depend on the
-        // fleet dimensions, not just the workload.
-        let qbd = if point.hosts == (1, 1) {
-            cs_cq::plan_qbd_cached(&params, BusyPeriodFit::ThreeMoment, cache)
-        } else {
-            cs_cq_km::Hosts::new(point.hosts.0, point.hosts.1).and_then(|hosts| {
-                cs_cq_km::plan_qbd_cached(hosts, &params, BusyPeriodFit::ThreeMoment, cache)
-            })
-        };
+        // will try first; deeper rungs are rare and stay scalar. Block
+        // shapes — and therefore the shape groups formed below — depend on
+        // the fleet dimensions, not just the workload.
+        let qbd = Hosts::new(k, m).and_then(|hosts| {
+            cs_cq_km::plan_qbd_cached(hosts, &params, BusyPeriodFit::ThreeMoment, cache)
+        });
         let Ok(qbd) = qbd else {
             continue;
         };
@@ -215,6 +207,15 @@ fn solve_and_seed(
 mod tests {
     use super::*;
     use crate::grid::GridSpec;
+    use cyclesteal_xtest::fault::FaultPlan;
+
+    /// A presolve no fault plan can reach: a zero-rate plan faults no scope
+    /// but holds the armed-section lock, so a concurrently running test's
+    /// armed plan cannot leak into this one.
+    fn presolve_clean(points: &[Point], cache: &SolveCache, ws: &mut Workspace) -> BatchStats {
+        let _clean = fault::arm(FaultPlan::new(0, 0.0, &[]));
+        presolve(points, cache, ws)
+    }
 
     fn cs_cq_points() -> Vec<Point> {
         let mut spec = GridSpec::analysis(
@@ -231,14 +232,14 @@ mod tests {
         let points = cs_cq_points();
         let cache = SolveCache::new();
         let mut ws = Workspace::new();
-        let stats = presolve(&points, &cache, &mut ws);
+        let stats = presolve_clean(&points, &cache, &mut ws);
         assert_eq!(stats.eligible, points.len(), "all points stable and CS-CQ");
         assert!(stats.unique > 0);
         assert_eq!(stats.batched + stats.scalar, stats.unique);
         assert_eq!(stats.seeded, stats.unique, "every planned chain solves cleanly");
         assert_eq!(stats.skipped_faulted, 0);
         // A second presolve over the same grid finds everything cached.
-        let again = presolve(&points, &cache, &mut ws);
+        let again = presolve_clean(&points, &cache, &mut ws);
         assert_eq!(again.eligible, points.len());
         assert_eq!(again.unique, 0);
         assert_eq!(again.seeded, 0);
@@ -251,7 +252,7 @@ mod tests {
         spec.policies = vec![Policy::Dedicated, Policy::CsId, Policy::CsCq];
         let cache = SolveCache::new();
         let mut ws = Workspace::new();
-        let stats = presolve(&spec.points(), &cache, &mut ws);
+        let stats = presolve_clean(&spec.points(), &cache, &mut ws);
         // Only the stable CS-CQ point (rho_s = 0.5) qualifies; rho_s = 2.5
         // is past the frontier at rho_l = 0.5.
         assert_eq!(stats.eligible, 1);
@@ -266,16 +267,15 @@ mod tests {
         let cache_a = SolveCache::new();
         let cache_b = SolveCache::new();
         let mut ws = Workspace::new();
-        let a = presolve(&fwd, &cache_a, &mut ws);
+        let a = presolve_clean(&fwd, &cache_a, &mut ws);
         fwd.reverse();
-        let b = presolve(&fwd, &cache_b, &mut ws);
+        let b = presolve_clean(&fwd, &cache_b, &mut ws);
         assert_eq!(a, b);
     }
 
     #[cfg(debug_assertions)]
     #[test]
     fn fault_planned_points_are_skipped() {
-        use cyclesteal_xtest::fault::FaultPlan;
         let points = cs_cq_points();
         // Rate 1.0: every scope draws a fault, so every point is skipped.
         let plan = FaultPlan::new(7, 1.0, &["qbd.solve"]);

@@ -19,8 +19,9 @@ use std::time::Instant;
 
 use cyclesteal_core::cache::SolveCache;
 use cyclesteal_core::stability::{self, Policy};
-use cyclesteal_core::{cs_cq, cs_cq_km, cs_id, dedicated, recover, AnalysisError, SystemParams};
-use cyclesteal_dist::{DistError, Exp, HyperExp2};
+use cyclesteal_core::cs_cq_km::Hosts;
+use cyclesteal_core::{cs_cq, cs_id, dedicated, recover, AnalysisError, SystemParams};
+use cyclesteal_dist::{DistError, Distribution, Exp, HyperExp2};
 use cyclesteal_linalg::{LinalgError, Workspace};
 use cyclesteal_markov::MarkovError;
 use cyclesteal_sim::{
@@ -281,20 +282,26 @@ fn classify_chain(c: &MarkovError) -> FailureKind {
     }
 }
 
-/// Evaluates a non-`(1, 1)` fleet point analytically. CS-CQ only: the
-/// fleet generalization exists for the central-queue policy alone, so any
-/// other policy here is an attributed infeasible configuration (never a
-/// silent drop). The `(1, 1)` path never enters this function — those
-/// points keep the exact 2-host pipeline (and its bit-level behavior)
-/// they always had.
-fn evaluate_analysis_km(
+/// Evaluates an analysis point into `row`. With `deadline: Some`, the
+/// CS-CQ recovery ladder is budget-steered (see
+/// [`recover::analyze_cs_cq`]); `None` is the sweep engine's un-budgeted
+/// path. Returns `true` when the deadline steered the ladder to a cheaper
+/// rung (always `false` un-budgeted).
+///
+/// Every CS-CQ point, the paper's `(1, 1)` system included, goes through
+/// the one fleet analysis. Fleet shapes exist for the central-queue policy
+/// alone, so another policy — or `extend_longs`, which has no long-only
+/// formula for fleets — at `(k, m) != (1, 1)` is an attributed infeasible
+/// configuration (never a silent drop).
+pub(crate) fn evaluate_analysis(
     point: &Point,
     cache: &SolveCache,
     row: &mut SweepRow,
     deadline: Option<&recover::Deadline<'_>>,
 ) -> bool {
     let (k, m) = point.hosts;
-    if point.policy != Policy::CsCq {
+    let fleet = point.hosts != (1, 1);
+    if fleet && point.policy != Policy::CsCq {
         row.record_failure(FailureKind::InfeasibleFit {
             reason: format!(
                 "policy {} has no (k, m) fleet model (hosts {k}x{m})",
@@ -303,13 +310,13 @@ fn evaluate_analysis_km(
         });
         return false;
     }
-    if point.extend_longs {
+    if fleet && point.extend_longs {
         row.record_failure(FailureKind::InfeasibleFit {
             reason: "extend_longs has no long-only formula for (k, m) fleets".to_string(),
         });
         return false;
     }
-    let hosts = match cs_cq_km::Hosts::new(k, m) {
+    let hosts = match Hosts::new(k, m) {
         Ok(h) => h,
         Err(e) => {
             row.record_failure(classify(&e));
@@ -328,72 +335,16 @@ fn evaluate_analysis_km(
             return false;
         }
     };
-    // Same contract as the 2-host path: genuine (precheck) instability is
-    // data, not a failure.
-    if !stability::is_stable_km(k, m, point.rho_s, point.rho_l) {
-        return false;
-    }
-    let (res, rec, steered) = WORKSPACE.with(|ws| match deadline {
-        Some(d) => {
-            let (res, dr) = recover::analyze_cs_cq_km_deadline_cached_in(
-                hosts,
-                &params,
-                cache,
-                &mut ws.borrow_mut(),
-                d,
-            );
-            (res, dr.recovery, dr.steered)
-        }
-        None => {
-            let (res, rec) =
-                recover::analyze_cs_cq_km_cached_in(hosts, &params, cache, &mut ws.borrow_mut());
-            (res, rec, false)
-        }
-    });
-    row.attempts = rec.attempts;
-    row.degraded = rec.degraded;
-    match res {
-        Ok(r) => {
-            row.short_response = Some(r.short_response);
-            row.long_response = Some(r.long_response);
-        }
-        Err(e) => row.record_failure(classify(&e)),
-    }
-    steered
-}
-
-/// Evaluates an analysis point into `row`. With `deadline: Some`, the
-/// CS-CQ recovery ladder is budget-steered (see
-/// [`recover::analyze_cs_cq_deadline_cached_in`]); `None` is the sweep
-/// engine's un-budgeted path, bit-identical to what it always produced.
-/// Returns `true` when the deadline steered the ladder to a cheaper rung
-/// (always `false` un-budgeted).
-pub(crate) fn evaluate_analysis(
-    point: &Point,
-    cache: &SolveCache,
-    row: &mut SweepRow,
-    deadline: Option<&recover::Deadline<'_>>,
-) -> bool {
-    if point.hosts != (1, 1) {
-        return evaluate_analysis_km(point, cache, row, deadline);
-    }
     let mut steered = false;
-    let params = match SystemParams::from_loads(
-        point.rho_s,
-        point.mean_s,
-        point.rho_l,
-        point.long.moments(),
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            row.record_failure(classify(&e));
-            return steered;
-        }
+    // Stability precheck (Theorem 1; its fleet form for CS-CQ): a
+    // genuinely unstable point is data, not a failure — leave the values
+    // as silent `None`s. A point that passes here but still errors below
+    // is a solver problem and gets a record.
+    let stable = match point.policy {
+        Policy::CsCq => stability::is_stable_km(k, m, point.rho_s, point.rho_l),
+        policy => stability::is_stable(policy, point.rho_s, point.rho_l),
     };
-    // Theorem-1 precheck: a genuinely unstable point is data, not a
-    // failure — leave the values as silent `None`s. A point that passes
-    // here but still errors below is a solver problem and gets a record.
-    if stability::is_stable(point.policy, point.rho_s, point.rho_l) {
+    if stable {
         let means = match point.policy {
             Policy::Dedicated => dedicated::analyze(&params),
             Policy::CsId => cs_id::analyze(&params).map(|r| cyclesteal_core::PolicyMeans {
@@ -407,29 +358,13 @@ pub(crate) fn evaluate_analysis(
                 // Each worker thread owns one scratch workspace for the QBD
                 // solver; buffers are canonically reset on checkout, so rows
                 // stay bit-identical across thread counts and sweep orders.
-                let (res, rec, s) = WORKSPACE.with(|ws| match deadline {
-                    Some(d) => {
-                        let (res, dr) = recover::analyze_cs_cq_deadline_cached_in(
-                            &params,
-                            cache,
-                            &mut ws.borrow_mut(),
-                            d,
-                        );
-                        (res, dr.recovery, dr.steered)
-                    }
-                    None => {
-                        let (res, rec) =
-                            recover::analyze_cs_cq_cached_in(&params, cache, &mut ws.borrow_mut());
-                        (res, rec, false)
-                    }
+                let (res, rec) = WORKSPACE.with(|ws| {
+                    recover::analyze_cs_cq(hosts, &params, cache, &mut ws.borrow_mut(), deadline)
                 });
-                steered = s;
+                steered = rec.steered;
                 row.attempts = rec.attempts;
                 row.degraded = rec.degraded;
-                res.map(|r| cyclesteal_core::PolicyMeans {
-                    short_response: r.short_response,
-                    long_response: r.long_response,
-                })
+                res.map(cyclesteal_core::PolicyMeans::from)
             }
         };
         match means {
@@ -464,6 +399,38 @@ pub(crate) fn evaluate_analysis(
     steered
 }
 
+/// Records an attributed `infeasible_fit` failure on `row`.
+fn record_infeasible(row: &mut SweepRow, e: &dyn std::fmt::Display) {
+    row.record_failure(FailureKind::InfeasibleFit {
+        reason: e.to_string(),
+    });
+}
+
+/// The simulated laws of a point: exponential shorts, and the two-moment
+/// representative of the long law — exponential at C² = 1, balanced-means
+/// H₂ above (the paper's simulated workloads). A law with no
+/// representative (e.g. C² < 1) is an error the caller attributes as an
+/// infeasible fit, never a silently dropped point.
+fn simulated_laws(point: &Point) -> Result<(Exp, Box<dyn Distribution>), DistError> {
+    let shorts = Exp::with_mean(point.mean_s)?;
+    let scv = point.long.scv();
+    let longs: Box<dyn Distribution> = if (scv - 1.0).abs() <= 1e-9 {
+        Box::new(Exp::with_mean(point.long.mean())?)
+    } else {
+        Box::new(HyperExp2::balanced_means(point.long.mean(), scv)?)
+    };
+    Ok((shorts, longs))
+}
+
+/// Simulates a point. The paper's `(1, 1)` system runs on the 2-host
+/// engine; other shapes run on `cyclesteal_sim`'s fleet engine, CS-CQ
+/// only, like fleet analysis points. The fork stays because the fleet
+/// engine at `(1, 1)` does not reproduce the 2-host engine's draw order.
+/// The seed derives from the canonical row id (which carries the `hosts`
+/// suffix for fleets), a pure function of the point's parameters, never
+/// from its position in the input — shuffled grids reproduce identical
+/// rows. Replications stay serial here; the pool already parallelizes
+/// across points.
 pub(crate) fn evaluate_simulation(
     point: &Point,
     total_jobs: u64,
@@ -471,89 +438,9 @@ pub(crate) fn evaluate_simulation(
     base_seed: u64,
     row: &mut SweepRow,
 ) {
-    if point.hosts != (1, 1) {
-        return evaluate_simulation_km(point, total_jobs, reps, base_seed, row);
-    }
-    if !stability::is_stable(point.policy, point.rho_s, point.rho_l) {
-        return;
-    }
-    let infeasible = |row: &mut SweepRow, e: &dyn std::fmt::Display| {
-        row.record_failure(FailureKind::InfeasibleFit {
-            reason: e.to_string(),
-        });
-    };
-    let shorts = match Exp::with_mean(point.mean_s) {
-        Ok(d) => d,
-        Err(e) => return infeasible(row, &e),
-    };
-    let scv = point.long.scv();
-    // Two-moment representative of the long law: exponential at C² = 1,
-    // balanced-means H₂ above (the paper's simulated workloads). A law
-    // with no representative (e.g. C² < 1) is an attributed infeasible
-    // fit, not a silently dropped point.
-    let longs_exp;
-    let longs_h2;
-    let longs: &dyn cyclesteal_dist::Distribution = if (scv - 1.0).abs() <= 1e-9 {
-        match Exp::with_mean(point.long.mean()) {
-            Ok(d) => {
-                longs_exp = d;
-                &longs_exp
-            }
-            Err(e) => return infeasible(row, &e),
-        }
-    } else {
-        match HyperExp2::balanced_means(point.long.mean(), scv) {
-            Ok(d) => {
-                longs_h2 = d;
-                &longs_h2
-            }
-            Err(e) => return infeasible(row, &e),
-        }
-    };
-    let lambda_s = point.rho_s / point.mean_s;
-    let lambda_l = point.rho_l / point.long.mean();
-    let params = match SimParams::new(lambda_s, lambda_l, &shorts, longs) {
-        Ok(p) => p,
-        Err(e) => return infeasible(row, &e),
-    };
-    let kind = match point.policy {
-        Policy::Dedicated => PolicyKind::Dedicated,
-        Policy::CsId => PolicyKind::CsId,
-        Policy::CsCq => PolicyKind::CsCq,
-    };
-    // The seed derives from the row id (a pure function of the point's
-    // parameters), never from the point's position in the input — shuffled
-    // grids reproduce identical rows. Replications stay serial here; the
-    // pool already parallelizes across points.
-    let config = SimConfig {
-        seed: fnv1a64(row.id.as_bytes()).wrapping_add(base_seed),
-        total_jobs,
-        ..SimConfig::default()
-    };
-    let rep = replicate(kind, &params, &config, reps.max(1));
-    if rep.short.count > 0 {
-        row.short_response = Some(rep.short.mean);
-        row.short_ci = Some(rep.short.ci_half);
-    }
-    if rep.long.count > 0 {
-        row.long_response = Some(rep.long.mean);
-        row.long_ci = Some(rep.long.ci_half);
-    }
-}
-
-/// Simulates a non-`(1, 1)` fleet point with `cyclesteal_sim`'s fleet
-/// engine. CS-CQ only, like [`evaluate_analysis_km`]; the seed still
-/// derives from the canonical row id, which carries the `hosts` suffix,
-/// so fleet points draw streams independent of their 2-host cousins.
-fn evaluate_simulation_km(
-    point: &Point,
-    total_jobs: u64,
-    reps: usize,
-    base_seed: u64,
-    row: &mut SweepRow,
-) {
     let (k, m) = point.hosts;
-    if point.policy != Policy::CsCq {
+    let fleet = point.hosts != (1, 1);
+    if fleet && point.policy != Policy::CsCq {
         row.record_failure(FailureKind::InfeasibleFit {
             reason: format!(
                 "policy {} has no (k, m) fleet simulator (hosts {k}x{m})",
@@ -562,58 +449,54 @@ fn evaluate_simulation_km(
         });
         return;
     }
-    if !stability::is_stable_km(k, m, point.rho_s, point.rho_l) {
+    let stable = if fleet {
+        stability::is_stable_km(k, m, point.rho_s, point.rho_l)
+    } else {
+        stability::is_stable(point.policy, point.rho_s, point.rho_l)
+    };
+    if !stable {
         return;
     }
-    let infeasible = |row: &mut SweepRow, e: &dyn std::fmt::Display| {
-        row.record_failure(FailureKind::InfeasibleFit {
-            reason: e.to_string(),
-        });
-    };
-    let shorts = match Exp::with_mean(point.mean_s) {
-        Ok(d) => d,
-        Err(e) => return infeasible(row, &e),
-    };
-    // Same two-moment representative selection as the 2-host path.
-    let scv = point.long.scv();
-    let longs_exp;
-    let longs_h2;
-    let longs: &dyn cyclesteal_dist::Distribution = if (scv - 1.0).abs() <= 1e-9 {
-        match Exp::with_mean(point.long.mean()) {
-            Ok(d) => {
-                longs_exp = d;
-                &longs_exp
-            }
-            Err(e) => return infeasible(row, &e),
-        }
-    } else {
-        match HyperExp2::balanced_means(point.long.mean(), scv) {
-            Ok(d) => {
-                longs_h2 = d;
-                &longs_h2
-            }
-            Err(e) => return infeasible(row, &e),
-        }
+    let (shorts, longs) = match simulated_laws(point) {
+        Ok(laws) => laws,
+        Err(e) => return record_infeasible(row, &e),
     };
     let lambda_s = point.rho_s / point.mean_s;
     let lambda_l = point.rho_l / point.long.mean();
-    let params = match FleetParams::new(k, m, lambda_s, lambda_l, &shorts, longs) {
-        Ok(p) => p,
-        Err(e) => return infeasible(row, &e),
-    };
     let config = SimConfig {
         seed: fnv1a64(row.id.as_bytes()).wrapping_add(base_seed),
         total_jobs,
         ..SimConfig::default()
     };
-    let rep = replicate_fleet(&params, &config, reps.max(1));
-    if rep.short.count > 0 {
-        row.short_response = Some(rep.short.mean);
-        row.short_ci = Some(rep.short.ci_half);
+    let (short, long) = if fleet {
+        match FleetParams::new(k, m, lambda_s, lambda_l, &shorts, &*longs) {
+            Ok(params) => {
+                let rep = replicate_fleet(&params, &config, reps.max(1));
+                (rep.short, rep.long)
+            }
+            Err(e) => return record_infeasible(row, &e),
+        }
+    } else {
+        let kind = match point.policy {
+            Policy::Dedicated => PolicyKind::Dedicated,
+            Policy::CsId => PolicyKind::CsId,
+            Policy::CsCq => PolicyKind::CsCq,
+        };
+        match SimParams::new(lambda_s, lambda_l, &shorts, &*longs) {
+            Ok(params) => {
+                let rep = replicate(kind, &params, &config, reps.max(1));
+                (rep.short, rep.long)
+            }
+            Err(e) => return record_infeasible(row, &e),
+        }
+    };
+    if short.count > 0 {
+        row.short_response = Some(short.mean);
+        row.short_ci = Some(short.ci_half);
     }
-    if rep.long.count > 0 {
-        row.long_response = Some(rep.long.mean);
-        row.long_ci = Some(rep.long.ci_half);
+    if long.count > 0 {
+        row.long_response = Some(long.mean);
+        row.long_ci = Some(long.ci_half);
     }
 }
 

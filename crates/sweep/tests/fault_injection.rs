@@ -9,7 +9,9 @@
 #![cfg(debug_assertions)]
 
 use cyclesteal_core::stability::Policy;
-use cyclesteal_sweep::{run, FailureKind, GridSpec, SweepOptions, SweepRow};
+use cyclesteal_sweep::{
+    run, FailureKind, GridSpec, SweepMetrics, SweepOptions, SweepReport, SweepRow,
+};
 use cyclesteal_xtest::fault::{self, FaultPlan, QuietPanics};
 
 /// The armed sites, one per layer: the sweep worker itself (panic), the
@@ -28,12 +30,20 @@ fn grid() -> GridSpec {
     spec
 }
 
+/// The fault-free reference run. A zero-rate plan faults no scope but
+/// holds the armed-section lock, so the reference cannot run while a
+/// concurrently running test has its own plan armed.
+fn clean_run(spec: &GridSpec, opts: &SweepOptions) -> (SweepReport, SweepMetrics) {
+    let _clean = fault::arm(FaultPlan::new(0, 0.0, &[]));
+    run(spec, opts)
+}
+
 #[test]
 fn injected_faults_are_attributed_and_reports_stay_deterministic() {
     let spec = grid();
     assert_eq!(spec.len(), 3_000);
 
-    let (clean, clean_metrics) = run(&spec, &SweepOptions::threads(1));
+    let (clean, clean_metrics) = clean_run(&spec, &SweepOptions::threads(1));
     assert_eq!(clean_metrics.failures.total(), 0, "clean run must be clean");
     for row in &clean.rows {
         assert!(row.short_response.is_some(), "{} must evaluate", row.id);
@@ -160,7 +170,7 @@ fn fleet_faults_are_attributed_and_bypass_cache_and_batch() {
     let spec = km_grid();
     assert_eq!(spec.len(), 900);
 
-    let (clean, clean_metrics) = run(&spec, &SweepOptions::threads(2));
+    let (clean, clean_metrics) = clean_run(&spec, &SweepOptions::threads(2));
     assert_eq!(clean_metrics.failures.total(), 0, "clean fleet run");
     for row in &clean.rows {
         assert!(row.id.contains("|hosts="), "{} must be a fleet row", row.id);
@@ -220,8 +230,8 @@ fn fleet_faults_are_attributed_and_bypass_cache_and_batch() {
                             armed_row.id,
                             armed_row.failure
                         );
-                        // The fleet path runs the same three-rung recovery
-                        // ladder as the 2-host path.
+                        // Fleet points run the one three-rung recovery
+                        // ladder the paper's points run.
                         assert_eq!(armed_row.attempts, 3, "{}", armed_row.id);
                         assert!(armed_row.degraded, "{}", armed_row.id);
                     }

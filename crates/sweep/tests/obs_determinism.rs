@@ -7,7 +7,8 @@
 #![cfg(feature = "obs")]
 
 use cyclesteal_obs as obs;
-use cyclesteal_sweep::{run, Evaluator, GridSpec, LongLaw, SweepOptions};
+use cyclesteal_core::stability::Policy;
+use cyclesteal_sweep::{run, run_points, Evaluator, GridSpec, LongLaw, Point, SweepOptions};
 
 /// Deterministic Fisher–Yates on a splitmix64 stream (same scheme as the
 /// row-determinism suite).
@@ -85,6 +86,32 @@ fn embedded_counts_are_bit_identical_across_threads_and_input_order() {
     let (rep, _) =
         cyclesteal_sweep::run_points("obs_determinism", &shuffled, &SweepOptions::threads(8));
     assert_eq!(want, rep.to_json(), "shuffled input");
+}
+
+/// One metrics vocabulary: a fleet point records the same analysis span
+/// and counter as the paper's 2-host system, because both run the one
+/// CS-CQ analysis.
+#[test]
+fn fleet_points_count_under_the_one_analysis_name() {
+    let point = Point {
+        rho_s: 2.0,
+        rho_l: 1.0,
+        mean_s: 1.0,
+        long: LongLaw::exponential(1.0).expect("valid law"),
+        policy: Policy::CsCq,
+        evaluator: Evaluator::Analysis,
+        extend_longs: false,
+        hosts: (2, 2),
+    };
+
+    let _session = obs::Session::start();
+    let (rep, _) = run_points("obs_fleet", &[point], &SweepOptions::threads(1));
+    let counts = rep.obs.as_ref().expect("recording: snapshot embedded");
+
+    assert!(rep.rows[0].short_response.is_some(), "{:?}", rep.rows[0]);
+    assert_eq!(counts.counter("core.cs_cq.analyze"), 1);
+    assert_eq!(counts.span_count("sweep.point;core.cs_cq.analyze"), 1);
+    assert_eq!(counts.counter("core.cs_cq_km.analyze"), 0);
 }
 
 /// Satellite check: the engine logs every attributed failure through an

@@ -1,58 +1,46 @@
-//! The `(k, m)` fleet generalization is gated by **reduction to the
-//! paper's system**: at `(k, m) = (1, 1)` the generalized chain of
-//! `cs_cq_km` must reproduce the original 2-host `cs_cq` analysis *bit
-//! for bit* — the same QBD (same signature), the same solution (same
-//! `π₀`, boundary vector, and `R` matrix bits), the same report (every
-//! field), and therefore the same golden Figure-4 curve. On top of the
+//! The `(k, m)` fleet chain is gated by **reduction to the paper's
+//! system**: at `(k, m) = (1, 1)` the one CS-CQ chain builder of
+//! `cs_cq_km` must reproduce the original 2-host analysis — kept as the
+//! independent test-only oracle `support::two_host` — *bit for bit*: the
+//! same QBD (same signature), the same solution (same `π₀`, boundary
+//! vector, and `R` matrix bits), the same report (every field), and
+//! therefore the same golden Figure-4 curve. On top of the
 //! reduction, a `(k, m) ∈ {1, 2, 4}²` grid cross-validates the fleet
 //! analysis against the fleet discrete-event simulator end-to-end through
 //! the sweep engine, with zero failure rows and 5% agreement on the
 //! short class at every shape.
 //!
-//! These tests are the contract that lets the sweep engine route `(1, 1)`
-//! points through either implementation — and lets the two share
-//! [`SolveCache`] entries at `(1, 1)` — without a byte of drift.
+//! These tests are the contract that lets every `cs_cq` entry point be a
+//! `(1, 1)` call into the fleet chain — and keeps the paper's cache keys,
+//! which read `(1, 1)` — without a byte of drift.
+
+mod support;
 
 use std::sync::Arc;
 
 use cyclesteal::core::cache::SolveCache;
-use cyclesteal::core::cs_cq::{self, BusyPeriodFit, CsCqReport};
+use cyclesteal::core::cs_cq::{self, BusyPeriodFit};
 use cyclesteal::core::cs_cq_km::{self, Hosts};
 use cyclesteal::core::stability::Policy;
 use cyclesteal::core::SystemParams;
 use cyclesteal::dist::Moments3;
 use cyclesteal_sweep::{run_points, Evaluator, LongLaw, Point, SweepOptions};
+use support::{assert_chains_bit_identical, assert_reports_bit_identical, two_host};
 
 /// Workloads spanning the Figure-4 axis plus a high-variability law:
 /// `(ρ_S, ρ_L, C²_L)` with unit mean sizes.
-const WORKLOADS: [(f64, f64, f64); 5] = [
+const WORKLOADS: [(f64, f64, f64); 6] = [
     (0.5, 0.5, 1.0),
     (0.9, 0.25, 1.0),
     (1.2, 0.5, 1.0),
     (1.45, 0.5, 1.0),
+    (0.9, 0.9, 1.0),
     (0.9, 0.9, 8.0),
 ];
 
 fn params(rho_s: f64, rho_l: f64, scv: f64) -> SystemParams {
     let long = Moments3::from_mean_scv_balanced(1.0, scv).unwrap();
     SystemParams::from_loads(rho_s, 1.0, rho_l, long).unwrap()
-}
-
-fn assert_reports_bit_identical(a: &CsCqReport, b: &CsCqReport, what: &str) {
-    for (field, x, y) in [
-        ("short_response", a.short_response, b.short_response),
-        ("long_response", a.long_response, b.long_response),
-        ("mean_shorts", a.mean_shorts_in_system, b.mean_shorts_in_system),
-        ("p_region1", a.p_region1, b.p_region1),
-        ("p_region2", a.p_region2, b.p_region2),
-        ("p_region5", a.p_region5, b.p_region5),
-        ("setup_probability", a.setup_probability, b.setup_probability),
-        ("total_mass", a.total_mass, b.total_mass),
-    ] {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: {field} {x} vs {y}");
-    }
-    assert_eq!(a.bl_match, b.bl_match, "{what}");
-    assert_eq!(a.bn_match, b.bn_match, "{what}");
 }
 
 /// The headline reduction: at every workload and every busy-period fit,
@@ -71,26 +59,11 @@ fn the_1x1_fleet_chain_is_the_paper_chain_bit_for_bit() {
         ] {
             let what = format!("(ρs={rho_s}, ρl={rho_l}, C²={scv}, {fit:?})");
 
-            let two_host = cs_cq::build_qbd_model(&p, fit).unwrap();
+            let oracle = two_host::build_qbd_model(&p, fit).unwrap();
             let fleet = cs_cq_km::build_qbd_model(paper, &p, fit).unwrap();
-            assert_eq!(two_host.signature(), fleet.signature(), "{what}");
-            assert_eq!(two_host.boundary_dim(), fleet.boundary_dim(), "{what}");
-            assert_eq!(two_host.phase_dim(), fleet.phase_dim(), "{what}");
+            assert_chains_bit_identical(&oracle, &fleet, &what);
 
-            let a = two_host.solve().unwrap();
-            let b = fleet.solve().unwrap();
-            for (x, y) in a.pi0().iter().zip(b.pi0()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{what}: pi0");
-            }
-            for (x, y) in a.boundary().iter().zip(b.boundary()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{what}: boundary");
-            }
-            assert_eq!(a.boundary().len(), b.boundary().len(), "{what}");
-            for (x, y) in a.r().as_slice().iter().zip(b.r().as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{what}: R");
-            }
-
-            let ra = cs_cq::analyze_with(&p, fit).unwrap();
+            let ra = two_host::analyze_with(&p, fit).unwrap();
             let rb = cs_cq_km::analyze_with(paper, &p, fit).unwrap();
             assert_reports_bit_identical(&ra, &rb, &what);
         }
@@ -98,18 +71,21 @@ fn the_1x1_fleet_chain_is_the_paper_chain_bit_for_bit() {
 }
 
 /// The golden Figure-4 curve survives the generalization verbatim: at
-/// every tabulated `ρ_S` the fleet analysis at `(1, 1)` equals
-/// `cs_cq::analyze` bit for bit, and the anchor values stay within the
-/// 1% golden band of `tests/golden_fig4.rs`.
+/// every tabulated `ρ_S` the fleet analysis at `(1, 1)` — and
+/// `cs_cq::analyze`, its paper-named wrapper — equals the 2-host oracle
+/// bit for bit, and the anchor values stay within the 1% golden band of
+/// `tests/golden_fig4.rs`.
 #[test]
 fn the_1x1_fleet_curve_is_the_golden_figure_4_curve() {
     // `(ρ_S, golden E[T_short])` anchors from the golden table.
     let anchors = [(1.0, 2.538424876478), (1.3, 6.421594906550)];
     for rho_s in [0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4] {
         let p = SystemParams::exponential(rho_s, 1.0, 0.5, 1.0).unwrap();
-        let two_host = cs_cq::analyze(&p).unwrap();
+        let oracle = two_host::analyze_with(&p, BusyPeriodFit::ThreeMoment).unwrap();
         let fleet = cs_cq_km::analyze(Hosts::paper(), &p).unwrap();
-        assert_reports_bit_identical(&two_host, &fleet, &format!("fig4 ρs={rho_s}"));
+        assert_reports_bit_identical(&oracle, &fleet, &format!("fig4 ρs={rho_s}"));
+        let paper = cs_cq::analyze(&p).unwrap();
+        assert_reports_bit_identical(&oracle, &paper, &format!("fig4 ρs={rho_s}"));
         for (anchor, golden) in anchors {
             if rho_s == anchor {
                 let rel = (fleet.short_response - golden).abs() / golden;
@@ -123,9 +99,9 @@ fn the_1x1_fleet_curve_is_the_golden_figure_4_curve() {
     }
 }
 
-/// The shared-cache protocol under the new dimension: a `(1, 1)` fleet
-/// analysis is served entirely from entries a prior 2-host analysis
-/// populated (the reduction makes key sharing sound), while shapes that
+/// The shared-cache protocol under the fleet dimension: a `(1, 1)` fleet
+/// analysis is served entirely from entries a prior paper-named
+/// `cs_cq` analysis populated (both key on `(1, 1)`), while shapes that
 /// differ only in `(k, m)` never collide — same workload, different
 /// hosts, zero hits.
 #[test]
