@@ -31,9 +31,14 @@ echo "==> batch differential oracle (batched QBD solves bit-identical to scalar)
 # oracle. Random same-shape/mixed-shape/frontier batches shrink on failure,
 # the golden suite replays the Figure-4 sweep batched-vs-scalar at 1/2/8
 # threads, and the solver's own unit tests cover widths {1, 2, 7, 64}.
+# The planner's unit tests and the daemon batch suite carry the key
+# contracts: one chain per report key, and no presolve of a key whose
+# report or solution is already cached (a WAL-restored daemon included).
 cargo test -q --offline --test batch_vs_scalar_props
 cargo test -q --offline --test golden_batched
 cargo test -q -p cyclesteal-markov --offline batch
+cargo test -q -p cyclesteal-sweep --offline batch
+cargo test -q -p cyclesteal-svc --offline --test batch
 
 echo "==> (k, m) fleet reduction gate (1x1 bit-identity vs the test-only 2-host oracle + {1,2,4}^2 analysis-vs-sim grid)"
 # The one CS-CQ chain builder is only trusted through its reduction: the

@@ -6,18 +6,16 @@
 //! work repeat verbatim: the `B_L` and `B_{N+1}` busy-period fits depend
 //! only on `(λ_L, long moments, μ_S)` — constant along a whole `ρ_S`
 //! sweep — and identical grid points (re-runs, overlapping grids) repeat
-//! the entire QBD `R`-matrix iteration. [`SolveCache`] memoizes four
-//! layers:
+//! the entire QBD `R`-matrix iteration. [`SolveCache`] memoizes:
 //!
 //! 1. **Coxian moment fits** (`dist::match3`), keyed by the bit pattern of
 //!    the target moment triple and the fit order;
-//! 2. **QBD plans** (the built-but-unsolved chain), keyed by the quantized
-//!    workload parameters — so a chain constructed by a batch presolve is
-//!    *reused* by the evaluation that follows instead of being assembled a
-//!    second time;
-//! 3. **QBD solutions** (the `R`-matrix iteration plus boundary solve),
-//!    keyed by [`cyclesteal_markov::Qbd::signature`];
-//! 4. **whole CS-CQ reports**, keyed by the quantized workload parameters.
+//! 2. **QBD solutions** (the `R`-matrix iteration plus boundary solve),
+//!    keyed by the [`ReportKey`] of the snapped workload. A key names
+//!    exactly one Poisson-arrival chain, so a solution seeded by a batch
+//!    presolve is found by the evaluation that follows without building
+//!    (or hashing) the chain again;
+//! 3. **whole CS-CQ reports**, keyed by the same [`ReportKey`].
 //!
 //! # Why determinism survives parallelism
 //!
@@ -52,8 +50,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use cyclesteal_dist::match3::MatchQuality;
 use cyclesteal_dist::{Moments3, Ph};
-use cyclesteal_linalg::Workspace;
-use cyclesteal_markov::{Qbd, QbdSolution};
+use cyclesteal_markov::QbdSolution;
 use cyclesteal_obs as obs;
 
 use crate::cs_cq::CsCqReport;
@@ -78,7 +75,7 @@ pub fn quantize(x: f64) -> f64 {
 /// deterministic: a successful key misses exactly once process-wide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (all three layers combined).
+    /// Lookups answered from the cache (every family combined).
     pub hits: u64,
     /// Lookups that had to compute and insert.
     pub misses: u64,
@@ -265,10 +262,8 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         lock(&self.map).len()
     }
 
-    /// `true` when `key` has an entry (ready or pending). Used by the
-    /// sweep batch planner to skip re-solving chains a previous sweep
-    /// already seeded; a pending entry counts because its designated
-    /// computer will finish it.
+    /// `true` when `key` has an entry (ready or pending); a pending entry
+    /// counts because its designated computer will finish it.
     fn contains(&self, key: &K) -> bool {
         lock(&self.map).contains_key(key)
     }
@@ -405,8 +400,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
 #[derive(Debug)]
 pub struct SolveCache {
     fits: Memo<FitKey, (Ph, MatchQuality)>,
-    plans: Memo<ReportKey, Qbd>,
-    solutions: Memo<u128, QbdSolution>,
+    solutions: Memo<ReportKey, QbdSolution>,
     reports: Memo<ReportKey, CsCqReport>,
     /// When enabled ([`SolveCache::enable_report_journal`]), every report
     /// *computed* after enabling is appended here for the persistence
@@ -447,13 +441,6 @@ impl SolveCache {
                 "core.cache.fit.evicted",
                 capacity,
             ),
-            plans: Memo::new(
-                "core.cache.plan.hit",
-                "core.cache.plan.miss",
-                "core.cache.plan.poison_recovered",
-                "core.cache.plan.evicted",
-                capacity,
-            ),
             solutions: Memo::new(
                 "core.cache.qbd.hit",
                 "core.cache.qbd.miss",
@@ -478,15 +465,10 @@ impl SolveCache {
         self.reports.capacity
     }
 
-    /// Current hit/miss/poison-recovery/eviction counters, all layers
+    /// Current hit/miss/poison-recovery/eviction counters, all families
     /// combined.
     pub fn stats(&self) -> CacheStats {
-        let layers = [
-            &self.fits as &dyn MemoStats,
-            &self.plans,
-            &self.solutions,
-            &self.reports,
-        ];
+        let layers = [&self.fits as &dyn MemoStats, &self.solutions, &self.reports];
         let mut stats = CacheStats::default();
         for layer in layers {
             let (h, m, p, e) = layer.counts();
@@ -498,9 +480,9 @@ impl SolveCache {
         stats
     }
 
-    /// Number of memoized entries across all layers.
+    /// Number of memoized entries across all families.
     pub fn len(&self) -> usize {
-        self.fits.len() + self.plans.len() + self.solutions.len() + self.reports.len()
+        self.fits.len() + self.solutions.len() + self.reports.len()
     }
 
     /// `true` when nothing has been memoized yet.
@@ -519,71 +501,38 @@ impl SolveCache {
         self.fits.get_or_compute(key, compute)
     }
 
-    /// Memoized QBD *construction*: the built-but-unsolved chain, keyed by
-    /// the same quantized workload key as the whole report. Assembling a
-    /// chain (PH block algebra, layout enumeration) is a pure function of
-    /// the snapped workload, so the first builder's chain is bit-identical
-    /// to what any later caller would assemble — which lets a batch
-    /// presolve and the evaluation that follows it share ONE construction
-    /// instead of building the same chain twice. Callers must only use
+    /// Memoized QBD solution of the chain `key` names: `compute` (build
+    /// the chain, then solve it) runs once per key even under concurrent
+    /// lookups, so a hit builds no chain at all. Callers must only use
     /// this for the Poisson-arrival analysis path: the key carries no
     /// arrival-MAP information.
-    pub(crate) fn qbd_plan(
+    pub(crate) fn solution(
         &self,
         key: ReportKey,
-        compute: impl FnOnce() -> Result<Qbd, AnalysisError>,
-    ) -> Result<Qbd, AnalysisError> {
-        self.plans.get_or_compute(key, compute)
-    }
-
-    /// Memoized QBD solution, keyed by the chain's content signature so
-    /// the `R`-matrix iteration runs once per distinct chain. Cache misses
-    /// solve out of the caller's [`Workspace`], so a worker thread that owns
-    /// one workspace allocates (almost) nothing per distinct chain; the
-    /// workspace never affects the numbers, only where scratch lives.
-    pub(crate) fn qbd_solution(
-        &self,
-        qbd: &Qbd,
-        ws: &mut Workspace,
+        compute: impl FnOnce() -> Result<QbdSolution, AnalysisError>,
     ) -> Result<QbdSolution, AnalysisError> {
-        self.solutions.get_or_compute(qbd.signature(), || {
-            qbd.solve_in(ws).map_err(AnalysisError::from)
-        })
+        self.solutions.get_or_compute(key, compute)
     }
 
-    /// `true` when a QBD solution for this chain's signature is already
-    /// memoized (or being computed). Lets the sweep batch planner dedup
-    /// against earlier sweeps through a shared cache without disturbing
-    /// the hit/miss counters.
-    pub fn has_qbd_solution(&self, qbd: &Qbd) -> bool {
-        self.has_qbd_solution_keyed(qbd.signature())
+    /// `true` when `key` already has a report or a QBD solution (ready, or
+    /// being computed by its designated thread). Lets the batch planner
+    /// skip a warm point before fitting or building anything, without
+    /// disturbing the hit/miss counters.
+    pub fn contains(&self, key: &ReportKey) -> bool {
+        self.reports.contains(key) || self.solutions.contains(key)
     }
 
-    /// [`Self::has_qbd_solution`] for a caller that already computed the
-    /// chain's [`Qbd::signature`]. Hashing every block of a chain is not
-    /// free, so the batch planner computes each signature once and keys
-    /// all of its sorting, deduplication, and cache traffic off that.
-    pub fn has_qbd_solution_keyed(&self, signature: u128) -> bool {
-        self.solutions.contains(&signature)
-    }
-
-    /// Seeds the QBD layer with an externally computed solution (the sweep
-    /// engine's batched presolve). Runs through the same once-per-key
-    /// protocol as a cache miss — one miss is counted per distinct
-    /// signature, exactly as if the lookup had computed scalar — so the
-    /// telemetry of a presolved sweep stays deterministic. If the key is
-    /// already present the existing value wins and `sol` is discarded
-    /// (both are pure functions of the signature, hence identical).
-    pub fn seed_qbd_solution(&self, qbd: &Qbd, sol: QbdSolution) {
-        self.seed_qbd_solution_keyed(qbd.signature(), sol);
-    }
-
-    /// [`Self::seed_qbd_solution`] for a caller that already computed the
-    /// chain's [`Qbd::signature`]. Same once-per-key protocol.
-    pub fn seed_qbd_solution_keyed(&self, signature: u128, sol: QbdSolution) {
+    /// Seeds the solution family with an externally computed solution
+    /// (the batched presolve). Runs through the same once-per-key protocol
+    /// as a cache miss — one miss is counted per distinct key, exactly as
+    /// if the lookup had solved scalar — so the telemetry of a presolved
+    /// sweep stays deterministic. If the key is already present the
+    /// existing value wins and `sol` is discarded (both are pure functions
+    /// of the key, hence identical).
+    pub fn seed_solution(&self, key: ReportKey, sol: QbdSolution) {
         let seeded = self
             .solutions
-            .get_or_compute(signature, || Ok::<_, AnalysisError>(sol));
+            .get_or_compute(key, || Ok::<_, AnalysisError>(sol));
         debug_assert!(seeded.is_ok(), "seeding cannot fail");
     }
 
@@ -742,12 +691,12 @@ mod tests {
         let p = SystemParams::exponential(1.1, 1.0, 0.5, 1.0).unwrap();
         let a = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
         let before = cache.stats();
-        assert_eq!(before.hits, 0);
-        assert!(before.misses >= 3, "{before:?}"); // report + 2 fits (+ qbd)
+        // Report + 2 fits + the QBD solution.
+        assert_eq!((before.hits, before.misses), (0, 4), "{before:?}");
         let b = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
+        // The report hit answers alone: nothing below it is consulted.
         let after = cache.stats();
-        assert!(after.hits >= 1, "{after:?}");
-        assert_eq!(after.misses, before.misses);
+        assert_eq!((after.hits, after.misses), (1, 4), "{after:?}");
         assert_eq!(a.short_response.to_bits(), b.short_response.to_bits());
         assert!(!cache.is_empty());
     }
@@ -784,23 +733,23 @@ mod tests {
         // Dyadic loads: snapping is the identity, so the planner's chain is
         // exactly the chain the analysis path builds.
         let p = SystemParams::exponential(1.25, 1.0, 0.5, 1.0).unwrap();
-        let qbd = cs_cq_km::plan_qbd_cached(Hosts::paper(), &p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
-        assert!(!cache.has_qbd_solution(&qbd));
-        let sol = qbd.solve().unwrap();
-        cache.seed_qbd_solution(&qbd, sol);
-        assert!(cache.has_qbd_solution(&qbd));
-        // Planner: 1 plan miss + 2 fit misses; seed: 1 qbd miss (the
-        // once-per-key protocol counts the seed as the key's designated
-        // compute).
+        let fit = BusyPeriodFit::ThreeMoment;
+        let key = cs_cq_km::cache_key(Hosts::paper(), &p, fit);
+        assert!(!cache.contains(&key));
+        let qbd = cs_cq_km::plan_qbd_cached(Hosts::paper(), &p, fit, &cache).unwrap();
+        cache.seed_solution(key, qbd.solve().unwrap());
+        assert!(cache.contains(&key));
+        // Planner: 2 fit misses (it memoizes no chain); seed: 1 solution
+        // miss (the once-per-key protocol counts the seed as the key's
+        // designated compute).
         let before = cache.stats();
-        assert_eq!((before.hits, before.misses), (0, 4), "{before:?}");
+        assert_eq!((before.hits, before.misses), (0, 3), "{before:?}");
 
-        let via_cache = cs_cq::analyze_cached(&p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
+        let via_cache = cs_cq::analyze_cached(&p, fit, &cache).unwrap();
         // The analysis recomputes nothing the planner covered: one report
-        // miss, and hits on both fits, the planned chain, and the seeded
-        // QBD solution.
+        // miss, and hits on both fits and the seeded QBD solution.
         let after = cache.stats();
-        assert_eq!((after.hits, after.misses), (4, 5), "{after:?}");
+        assert_eq!((after.hits, after.misses), (3, 4), "{after:?}");
         let direct = cs_cq::analyze(&p).unwrap();
         assert_eq!(
             via_cache.short_response.to_bits(),
@@ -812,10 +761,10 @@ mod tests {
             direct.long_response.to_bits()
         );
         // Seeding an already-present key is a no-op hit, not a new miss
-        // (and replanning hits the plan layer instead of rebuilding).
-        let again = cs_cq_km::plan_qbd_cached(Hosts::paper(), &p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
-        cache.seed_qbd_solution(&again, again.solve().unwrap());
-        assert_eq!(cache.stats().misses, 5);
+        // (replanning rebuilds the chain but hits both fits).
+        let again = cs_cq_km::plan_qbd_cached(Hosts::paper(), &p, fit, &cache).unwrap();
+        cache.seed_solution(key, again.solve().unwrap());
+        assert_eq!(cache.stats().misses, 4);
     }
 
     #[test]

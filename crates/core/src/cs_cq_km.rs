@@ -155,10 +155,10 @@ pub fn analyze_with(
 
 /// [`analyze_with`] through a [`SolveCache`]: the workload is snapped onto
 /// the cache's quantization grid and every expensive sub-solve (busy-period
-/// Coxian fits, the chain, its QBD solution, the whole report) is
-/// memoized. Because all cached values are pure functions of their
-/// quantized keys, results are bit-identical regardless of which thread or
-/// sweep order populated the cache — see the `crate::cache` module docs.
+/// Coxian fits, the chain's QBD solution, the whole report) is memoized.
+/// Because all cached values are pure functions of their quantized keys,
+/// results are bit-identical regardless of which thread or sweep order
+/// populated the cache — see the `crate::cache` module docs.
 /// The report key carries `(k, m)` verbatim — host counts are integers and
 /// are never quantized, so scenarios differing only in fleet shape cannot
 /// collide.
@@ -211,9 +211,16 @@ pub(crate) fn analyze_map(
     )
 }
 
-/// The [`ReportKey`] under which [`analyze_cached`] memoizes (and the
-/// persistence layer stores) this workload: the snapped parameter bits,
-/// the fit tag and the host counts verbatim.
+/// The [`ReportKey`] under which [`analyze_cached`] memoizes this
+/// workload's report and QBD solution (and the persistence layer stores
+/// the report): the snapped parameter bits, the fit tag and the host
+/// counts verbatim. Cheap — no fit, no chain — so the batch planner keys
+/// its skip and dedup decisions off it before building anything.
+pub fn cache_key(hosts: Hosts, params: &SystemParams, fit: BusyPeriodFit) -> ReportKey {
+    report_key(hosts, &snap_params(params), fit)
+}
+
+/// [`cache_key`] of already-snapped parameters.
 fn report_key(hosts: Hosts, snapped: &SystemParams, fit: BusyPeriodFit) -> ReportKey {
     (
         [
@@ -293,11 +300,12 @@ pub(crate) fn build_chain(
     build_with_layout(&KmLayout::new(hosts, phs), params, phs, arrivals)
 }
 
-/// Builds the fleet QBD exactly as [`analyze_cached`] would on a cache
+/// Builds the fleet QBD exactly as [`analyze_cached`] would on a solution
 /// miss — parameters snapped, fits served through the cache — without
-/// solving. The sweep batch planner's hook: construction is bit-shared
-/// with the cached analysis path, so the planned chain's
-/// [`Qbd::signature`] matches the one evaluation will look up.
+/// solving it or memoizing it. The sweep batch planner's hook: the chain's
+/// solution, seeded under [`cache_key`] with
+/// [`SolveCache::seed_solution`], is exactly the solution the cached
+/// analysis looks up.
 ///
 /// # Errors
 ///
@@ -314,11 +322,9 @@ pub fn plan_qbd_cached(
     if !stability::is_stable_km(hosts.k, hosts.m, rho_s, rho_l) {
         return Err(unstable_error(hosts, rho_s, rho_l));
     }
-    cache.qbd_plan(report_key(hosts, &snapped, fit), || {
-        let fits = fit_slot_busy_periods(hosts, &snapped, fit, Some(cache))?;
-        let phs = fits.as_ref().map(|f| (&f.0 .0, &f.1 .0));
-        build_with_layout(&KmLayout::new(hosts, phs), &snapped, phs, None)
-    })
+    let fits = fit_slot_busy_periods(hosts, &snapped, fit, Some(cache))?;
+    let phs = fits.as_ref().map(|f| (&f.0 .0, &f.1 .0));
+    build_with_layout(&KmLayout::new(hosts, phs), &snapped, phs, None)
 }
 
 /// Moments of a slot's `B_L`: the M/G/1 busy period of the slot's own
@@ -497,7 +503,8 @@ fn fit_busy_period(m: Moments3, fit: BusyPeriodFit) -> Result<(Ph, MatchQuality)
 }
 
 /// The one analysis pipeline: stability precheck, busy-period fits, chain
-/// (planned through the cache when one is given), solution, report.
+/// and its solution (looked up by report key when a cache is given, so a
+/// hit builds no chain), report.
 fn analyze_inner(
     hosts: Hosts,
     params: &SystemParams,
@@ -517,21 +524,17 @@ fn analyze_inner(
     let fits = fit_slot_busy_periods(hosts, params, fit, cache)?;
     let phs = fits.as_ref().map(|f| (&f.0 .0, &f.1 .0));
     let layout = KmLayout::new(hosts, phs);
-    let qbd = match cache {
-        // The plan key carries no arrival-process information; it is sound
+    let sol = match cache {
+        // The key carries no arrival-process information; it is sound
         // because the cached path always drives the chain with Poisson
         // arrivals at the snapped workload the key encodes (see
-        // [`analyze_cached_in`]; [`analyze_map`] passes no cache). A plan
-        // seeded by a batch presolve is reused instead of assembling the
-        // block matrices a second time.
-        Some(c) => c.qbd_plan(report_key(hosts, params, fit), || {
-            build_with_layout(&layout, params, phs, None)
+        // [`analyze_cached_in`]; [`analyze_map`] passes no cache). Only a
+        // miss builds the chain; a solution seeded by a batch presolve is
+        // served without assembling (or hashing) any block matrix.
+        Some(c) => c.solution(report_key(hosts, params, fit), || {
+            Ok(build_with_layout(&layout, params, phs, None)?.solve_in(ws)?)
         })?,
-        None => build_with_layout(&layout, params, phs, arrivals)?,
-    };
-    let sol = match cache {
-        Some(c) => c.qbd_solution(&qbd, ws)?,
-        None => qbd.solve_in(ws)?,
+        None => build_with_layout(&layout, params, phs, arrivals)?.solve_in(ws)?,
     };
 
     // E[N_S]: boundary level n holds n shorts; repeating level j holds
@@ -1130,26 +1133,28 @@ mod tests {
     }
 
     #[test]
-    fn planned_fleet_chain_signature_matches_the_cached_analysis_path() {
-        // The (k, m) mirror of the 2-host seeded-solution test: the batch
-        // planner's chain must carry the exact signature the analysis path
-        // looks up, so a presolved solution is served, not recomputed.
+    fn planned_fleet_chain_solution_is_served_to_the_cached_analysis_path() {
+        // The (k, m) mirror of the 2-host seeded-solution test: a solution
+        // of the planner's chain, seeded under the cache key, must be what
+        // the analysis path serves — found by key, not recomputed.
         let cache = SolveCache::new();
         let hosts = Hosts::new(2, 2).unwrap();
         let p = exp_params(1.25, 0.5);
-        let qbd = plan_qbd_cached(hosts, &p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
-        assert!(!cache.has_qbd_solution(&qbd));
-        let sol = qbd.solve().unwrap();
-        cache.seed_qbd_solution(&qbd, sol);
-        assert!(cache.has_qbd_solution(&qbd));
-        // Planner: 1 plan miss + 2 fit misses; seed: 1 qbd miss.
+        let fit = BusyPeriodFit::ThreeMoment;
+        let key = cache_key(hosts, &p, fit);
+        assert!(!cache.contains(&key));
+        let qbd = plan_qbd_cached(hosts, &p, fit, &cache).unwrap();
+        cache.seed_solution(key, qbd.solve().unwrap());
+        assert!(cache.contains(&key));
+        // Planner: 2 fit misses (it memoizes no chain); seed: 1 solution
+        // miss.
         let before = cache.stats();
-        assert_eq!((before.hits, before.misses), (0, 4), "{before:?}");
-        let via_cache = analyze_cached(hosts, &p, BusyPeriodFit::ThreeMoment, &cache).unwrap();
-        // Analysis: one report miss; hits on both fits, the planned
-        // chain, and the seeded QBD.
+        assert_eq!((before.hits, before.misses), (0, 3), "{before:?}");
+        let via_cache = analyze_cached(hosts, &p, fit, &cache).unwrap();
+        // Analysis: one report miss; hits on both fits and the seeded
+        // solution.
         let after = cache.stats();
-        assert_eq!((after.hits, after.misses), (4, 5), "{after:?}");
+        assert_eq!((after.hits, after.misses), (3, 4), "{after:?}");
         let direct = analyze(hosts, &p).unwrap();
         assert_eq!(
             via_cache.short_response.to_bits(),

@@ -172,8 +172,8 @@ impl Qbd {
     /// A 128-bit content signature of the QBD: two independent FNV-1a
     /// streams over the block dimensions and the bit patterns of every
     /// entry. Two QBDs built from bit-identical blocks share a signature,
-    /// so memo layers (e.g. the sweep engine's solver cache) can key a
-    /// [`QbdSolution`] on it without retaining the blocks themselves.
+    /// which makes it a cheap chain-identity check for diagnostics,
+    /// benchmarks and reduction tests.
     /// Collisions across *distinct* inputs require a simultaneous collision
     /// of both 64-bit streams — negligible at any realistic cache size.
     pub fn signature(&self) -> u128 {

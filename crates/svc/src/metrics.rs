@@ -87,8 +87,8 @@ pub struct NativeMetrics {
     pub batch_width_max: u64,
     /// Points handed to the batch presolve planner.
     pub batch_presolved: u64,
-    /// Presolved points deduplicated against an identical solve
-    /// signature in the same drain (or already cached).
+    /// Presolved points deduplicated against an identical report key in
+    /// the same drain (or whose report or solution was already cached).
     pub batch_dedup_hits: u64,
     /// Distinct uncached chains the presolve planned.
     pub batch_unique: u64,

@@ -220,8 +220,9 @@ struct BatchCounters {
     width_max: AtomicU64,
     /// Jobs whose points entered a batch presolve.
     presolved: AtomicU64,
-    /// Presolved points that needed no new solve: duplicate signature
-    /// within the batch, already cached, or not plannable.
+    /// Presolved points that needed no new solve: duplicate report key
+    /// within the batch, report or solution already cached, or not
+    /// plannable.
     dedup_hits: AtomicU64,
     /// Distinct uncached chains the presolve actually solved.
     unique: AtomicU64,
@@ -229,7 +230,7 @@ struct BatchCounters {
     batched: AtomicU64,
     /// Chains whose shape group degenerated to a scalar solve.
     scalar: AtomicU64,
-    /// Solutions seeded into the shared cache.
+    /// Solutions seeded into the shared cache, one per report key.
     seeded: AtomicU64,
     /// Jobs excluded from presolve because their deadline had already
     /// expired at drain time (they still time out with `stage:
@@ -764,11 +765,12 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// The micro-batch presolve of one drained job batch: dedupe the batch's
-/// points by quantized solve signature, solve the same-shape groups
-/// through the factor-once/solve-many pipeline, and seed the shared
-/// cache — so the per-query evaluations below find their chains already
-/// solved. A seeded solution is bit-identical to what the scalar path
-/// would compute (the PR 6 contract), so responses cannot change; only
+/// points by report key (skipping keys whose report or solution is
+/// already cached), solve the same-shape groups through the
+/// factor-once/solve-many pipeline, and seed the shared cache — so the
+/// per-query evaluations below find their chains already solved. A seeded
+/// solution is bit-identical to what the scalar path would compute (the
+/// batched solver's per-lane contract), so responses cannot change; only
 /// the shared factorization work does.
 fn presolve_batch(shared: &Arc<Shared>, jobs: &[Job], clock: &MonotonicClock) {
     shared.batch.drains.fetch_add(1, Ordering::Relaxed);

@@ -1,10 +1,12 @@
 //! End-to-end gates for server-side micro-batching: a batching daemon's
 //! responses are **byte-identical** to a scalar (`batch_max = 1`)
 //! daemon's, bursts genuinely coalesce (scrape-visible batch width > 1),
-//! and deadline-expired jobs are excluded from presolves while still
-//! timing out with their honest `stage: "admission"` attribution.
+//! deadline-expired jobs are excluded from presolves while still
+//! timing out with their honest `stage: "admission"` attribution, and a
+//! cache restored from the WAL is never presolved again.
 
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::time::Duration;
 
 use cyclesteal_obs::prom;
@@ -13,6 +15,7 @@ use cyclesteal_svc::json::{self, Value};
 use cyclesteal_svc::metrics;
 use cyclesteal_svc::proto;
 use cyclesteal_svc::server::{Server, ServerConfig};
+use cyclesteal_svc::wal::DurableCache;
 
 /// The identity-gate query mix: distinct stable loads, one past the
 /// stability frontier (a structured failure row), and one fleet point —
@@ -276,4 +279,78 @@ fn deadline_expired_jobs_skip_presolve_but_still_time_out() {
 
     server.drain();
     server.join().expect("join");
+}
+
+fn tmp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "cyclesteal-batch-{name}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A daemon restarted from its WAL holds every report and nothing else.
+/// A burst of the same queries must then presolve nothing (each key's
+/// report is present, so no point is fitted, built or solved) and answer
+/// byte-identically to the first run.
+#[test]
+fn a_wal_restored_cache_is_not_presolved_again() {
+    let reqs = identity_mix();
+    let served_dir = tmp_dir("served");
+    let wal_dir = tmp_dir("wal-only");
+
+    let first_server = Server::start(ServerConfig {
+        data_dir: Some(served_dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let first = serial(&first_server, &reqs);
+    // Every report is appended before its response is sent. Copy the WAL
+    // alone now, before the drain compacts it into a snapshot.
+    std::fs::create_dir_all(&wal_dir).expect("wal dir");
+    std::fs::copy(
+        DurableCache::wal_path(&served_dir),
+        DurableCache::wal_path(&wal_dir),
+    )
+    .expect("copy wal");
+    first_server.drain();
+    first_server.join().expect("join");
+
+    let restarted = Server::start(ServerConfig {
+        workers: 1,
+        queue_capacity: 64,
+        per_conn_inflight: 64,
+        batch_max: 16,
+        slow_ms: 10,
+        data_dir: Some(wal_dir.clone()),
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..ServerConfig::default()
+    })
+    .expect("restart");
+    let rec = restarted.recovery();
+    assert_eq!(rec.snapshot_entries, 0, "restored from the WAL alone");
+    assert_eq!(
+        rec.wal_entries,
+        reqs.len() - 1,
+        "every stable query's report is in the WAL"
+    );
+
+    let burst = pipelined(&restarted, &reqs);
+    assert_eq!(burst, first, "a restored cache must not change any response");
+
+    let series = scrape(&restarted);
+    let value = |name: &str| series_value(&series, name, &[]).expect(name);
+    assert!(
+        value("svc_batch_width") > 1.0,
+        "the slowed worker must have drained > 1 job in one wakeup"
+    );
+    assert!(value("svc_batch_presolved_total") >= 2.0);
+    assert_eq!(value("svc_batch_unique_total"), 0.0, "nothing left to solve");
+    assert_eq!(value("svc_batch_seeded_total"), 0.0);
+
+    restarted.drain();
+    restarted.join().expect("join restarted");
+    let _ = std::fs::remove_dir_all(&served_dir);
+    let _ = std::fs::remove_dir_all(&wal_dir);
 }

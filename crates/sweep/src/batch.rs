@@ -4,6 +4,12 @@
 //! the per-point evaluation phase, seeding the shared [`SolveCache`] so
 //! evaluation finds every chain already solved.
 //!
+//! Every decision is keyed by the point's [`ReportKey`]
+//! ([`cs_cq_km::cache_key`]), the same key evaluation looks its solution
+//! up by: a point whose report or solution is already cached, or whose
+//! key an earlier point of the batch already planned, is skipped before
+//! any fit or chain is built.
+//!
 //! # Why this cannot change a report
 //!
 //! The batched solver is bit-identical to the scalar [`Qbd::solve_in`]
@@ -22,7 +28,9 @@
 //! engine), so presolving them would be wasted work at best and at worst
 //! would let a clean presolve mask an injection site.
 
-use cyclesteal_core::cache::SolveCache;
+use std::collections::HashSet;
+
+use cyclesteal_core::cache::{ReportKey, SolveCache};
 use cyclesteal_core::cs_cq::BusyPeriodFit;
 use cyclesteal_core::cs_cq_km::{self, Hosts};
 use cyclesteal_core::stability::{self, Policy};
@@ -49,8 +57,8 @@ pub struct BatchStats {
     /// no fault planned on their scope (the planner's candidates,
     /// counted before deduplication).
     pub eligible: usize,
-    /// Distinct chain signatures planned and not already cached — the
-    /// solves the presolve phase actually performed.
+    /// Distinct report keys planned whose report and solution were not
+    /// already cached — the solves the presolve phase actually performed.
     pub unique: usize,
     /// Same-shape groups (≥ 2 chains) dispatched to the batched solver.
     pub batches: usize,
@@ -102,14 +110,15 @@ pub fn presolve_points(points: &[Point], cache: &SolveCache) -> BatchStats {
 }
 
 /// The planning half of a presolve: filter to batch-eligible points,
-/// build each chain through the exact cached construction path
-/// evaluation uses, and return the uncached plans (tallying `stats`).
-/// Each plan carries its [`Qbd::signature`], computed exactly once here —
-/// hashing every block of a chain costs tens of microseconds, so the
-/// solving half keys all sorting, deduplication, and seeding off the
-/// precomputed value instead of rehashing per comparison.
-fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<(u128, Qbd)> {
-    let mut planned: Vec<(u128, Qbd)> = Vec::new();
+/// skip every point whose key is already cached or already planned, and
+/// build each remaining chain through the exact cached construction path
+/// evaluation uses (tallying `stats`).
+fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<(ReportKey, Qbd)> {
+    // The first rung of the recovery ladder — the fit the evaluator will
+    // try first; deeper rungs are rare and stay scalar.
+    let fit = BusyPeriodFit::ThreeMoment;
+    let mut keys = HashSet::new();
+    let mut planned = Vec::new();
     for point in points {
         if point.evaluator != Evaluator::Analysis || point.policy != Policy::CsCq {
             continue;
@@ -131,28 +140,19 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<(u1
             continue;
         }
         stats.eligible += 1;
-        let Ok(params) = SystemParams::from_loads(
-            point.rho_s,
-            point.mean_s,
-            point.rho_l,
-            point.long.moments(),
+        let (Ok(params), Ok(hosts)) = (
+            SystemParams::from_loads(point.rho_s, point.mean_s, point.rho_l, point.long.moments()),
+            Hosts::new(k, m),
         ) else {
             // Evaluation attributes the parameter failure; nothing to plan.
             continue;
         };
-        // The first rung of the recovery ladder — the fit the evaluator
-        // will try first; deeper rungs are rare and stay scalar. Block
-        // shapes — and therefore the shape groups formed below — depend on
-        // the fleet dimensions, not just the workload.
-        let qbd = Hosts::new(k, m).and_then(|hosts| {
-            cs_cq_km::plan_qbd_cached(hosts, &params, BusyPeriodFit::ThreeMoment, cache)
-        });
-        let Ok(qbd) = qbd else {
+        let key = cs_cq_km::cache_key(hosts, &params, fit);
+        if cache.contains(&key) || !keys.insert(key) {
             continue;
-        };
-        let signature = qbd.signature();
-        if !cache.has_qbd_solution_keyed(signature) {
-            planned.push((signature, qbd));
+        }
+        if let Ok(qbd) = cs_cq_km::plan_qbd_cached(hosts, &params, fit, cache) {
+            planned.push((key, qbd));
         }
     }
     planned
@@ -161,18 +161,17 @@ fn plan(points: &[Point], cache: &SolveCache, stats: &mut BatchStats) -> Vec<(u1
 /// The solving half of a presolve: canonicalize, group by shape, solve
 /// through the batched pipeline, and seed successful solutions.
 fn solve_and_seed(
-    mut planned: Vec<(u128, Qbd)>,
+    mut planned: Vec<(ReportKey, Qbd)>,
     cache: &SolveCache,
     ws: &mut Workspace,
     stats: &mut BatchStats,
 ) {
-    // Canonical order: group same-shape chains together, deduplicate by
-    // signature. Sorting by (shape, signature) makes the grouping — and
-    // therefore every stat — independent of the input permutation;
-    // batch *composition* cannot affect results because every batched
-    // kernel is per-lane independent.
-    planned.sort_by_key(|(sig, q)| (q.boundary_dim(), q.phase_dim(), *sig));
-    planned.dedup_by_key(|(sig, _)| *sig);
+    // Canonical order: group same-shape chains together (keys are already
+    // distinct). Sorting by (shape, key) makes the grouping — and
+    // therefore every stat — independent of the input permutation; batch
+    // *composition* cannot affect results because every batched kernel is
+    // per-lane independent.
+    planned.sort_by_key(|(key, q)| (q.boundary_dim(), q.phase_dim(), *key));
     stats.unique = planned.len();
 
     let mut group = planned.as_slice();
@@ -193,9 +192,9 @@ fn solve_and_seed(
             }
             let refs: Vec<&Qbd> = chunk.iter().map(|(_, q)| q).collect();
             let results = Qbd::solve_batch_in(&refs, ws);
-            for ((signature, _), result) in chunk.iter().zip(results) {
+            for ((key, _), result) in chunk.iter().zip(results) {
                 if let Ok(sol) = result {
-                    cache.seed_qbd_solution_keyed(*signature, sol);
+                    cache.seed_solution(*key, sol);
                     stats.seeded += 1;
                 }
             }
@@ -230,11 +229,13 @@ mod tests {
     #[test]
     fn presolve_seeds_every_eligible_chain_once() {
         let points = cs_cq_points();
+        // Every point twice: the planner builds one chain per report key.
+        let doubled: Vec<Point> = points.iter().chain(&points).copied().collect();
         let cache = SolveCache::new();
         let mut ws = Workspace::new();
-        let stats = presolve_clean(&points, &cache, &mut ws);
-        assert_eq!(stats.eligible, points.len(), "all points stable and CS-CQ");
-        assert!(stats.unique > 0);
+        let stats = presolve_clean(&doubled, &cache, &mut ws);
+        assert_eq!(stats.eligible, doubled.len(), "all points stable and CS-CQ");
+        assert_eq!(stats.unique, points.len(), "{stats:?}");
         assert_eq!(stats.batched + stats.scalar, stats.unique);
         assert_eq!(stats.seeded, stats.unique, "every planned chain solves cleanly");
         assert_eq!(stats.skipped_faulted, 0);
@@ -271,6 +272,29 @@ mod tests {
         fwd.reverse();
         let b = presolve_clean(&fwd, &cache_b, &mut ws);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_cache_warmed_only_by_restored_reports_presolves_nothing() {
+        // The daemon's WAL/snapshot restore seeds reports alone. A presolve
+        // over the restored keys must fit, build, solve and seed nothing:
+        // evaluation will answer every point from its report.
+        let _clean = fault::arm(FaultPlan::new(0, 0.0, &[]));
+        let points = cs_cq_points();
+        let warm = SolveCache::new();
+        for point in &points {
+            crate::run_query(point, &warm, None);
+        }
+        let restored = SolveCache::new();
+        for (key, report) in warm.export_reports() {
+            restored.insert_report(key, report);
+        }
+        let before = restored.stats();
+        let stats = presolve(&points, &restored, &mut Workspace::new());
+        assert_eq!(stats.eligible, points.len());
+        assert_eq!((stats.unique, stats.seeded), (0, 0), "{stats:?}");
+        assert_eq!(restored.stats().misses, before.misses);
+        assert_eq!(restored.len(), points.len(), "no fit or solution was added");
     }
 
     #[cfg(debug_assertions)]
