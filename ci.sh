@@ -52,6 +52,17 @@ cargo test -q --offline --test km_reduction
 cargo test -q --offline --test km_props
 cargo test -q --offline --test map_reduction
 
+echo "==> CS-ID one builder (Poisson = one-phase MAP, bit for bit) + daemon connection lifecycle"
+# cs_id builds one chain, long-host states x MAP phases; its unit tests
+# pin the one-phase MAP to the Poisson analysis by to_bits and the
+# equal-intensity MMPP to it within 1e-8, and the MAP suite checks the
+# product chain against simulation. The lifecycle binary runs alone so
+# its fd count shares the process with no other test: 300 closed
+# connections must leave no sockets behind while the daemon runs.
+cargo test -q -p cyclesteal-core --offline cs_id
+cargo test -q --offline --test map_arrivals
+cargo test -q -p cyclesteal-svc --offline --test conn_lifecycle
+
 echo "==> rustdoc (every intra-doc link resolves; warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

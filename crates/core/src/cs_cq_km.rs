@@ -62,7 +62,7 @@ use cyclesteal_mg1::mg1;
 
 use crate::cache::{quantize, ReportKey, SolveCache};
 use crate::cs_cq::{BusyPeriodFit, CsCqReport};
-use crate::{stability, AnalysisError, SystemParams};
+use crate::{check_arrival_rate, stability, AnalysisError, SystemParams};
 
 /// Most hosts a fleet may have (`k + m`), and so the longest slot tuple.
 const MAX_HOSTS: usize = 32;
@@ -441,19 +441,6 @@ fn unstable_error(hosts: Hosts, rho_s: f64, rho_l: f64) -> AnalysisError {
         rho_s,
         rho_l,
         rho_s_max,
-    }
-}
-
-/// A MAP driving the chain must carry the `λ_S` that `params` records
-/// (the stability check and Little's law use it).
-fn check_arrival_rate(params: &SystemParams, arrivals: Option<&Map>) -> Result<(), AnalysisError> {
-    match arrivals {
-        Some(map) if (map.rate() - params.lambda_s()).abs() > 1e-9 * params.lambda_s() => {
-            Err(AnalysisError::Param(DistError::Inconsistent {
-                reason: "MAP arrival rate must equal params.lambda_s()",
-            }))
-        }
-        _ => Ok(()),
     }
 }
 

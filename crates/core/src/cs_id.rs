@@ -2,24 +2,12 @@
 //! decomposition of the companion paper (\[9\], Harchol-Balter et al.,
 //! CMU-CS-02-158): the system splits into two stochastic processes.
 //!
-//! # The long host (exact for exponential shorts)
+//! # The modulating chain (one builder)
 //!
-//! Long jobs queue FCFS at the long host; a short is admitted only when the
-//! host is *completely idle*. A "no-long" period therefore lasts
-//! `Exp(λ_L)` (the memoryless wait for the next long), during which the
-//! host is a two-state CTMC — `idle ⇄ serving-one-short` with rates `λ_S`
-//! and `μ_S` — started at `idle` and killed by the long arrival. The killed
-//! chain yields `P(short in service at the kill) = λ_S/(λ_L+λ_S+μ_S)`, and
-//! the residual short is `Exp(μ_S)` by memorylessness: the long host is an
-//! **M/G/1 queue with setup** `K = Exp(μ_S)` with that probability, else 0.
-//!
-//! # The short host (Markov-modulated overflow)
-//!
-//! A short is stolen iff it arrives while the long host is completely idle;
-//! otherwise it joins the short host. The overflow stream is therefore *not*
-//! Poisson — it is on exactly while the long host is busy, and those on/off
-//! periods are long-job busy periods. Following the busy-period-transition
-//! methodology, the long host is summarized by an autonomous CTMC
+//! A short is stolen iff it arrives while the long host is *completely
+//! idle*; otherwise it joins the short host. Following the
+//! busy-period-transition methodology, the long host is summarized by an
+//! autonomous CTMC
 //!
 //! ```text
 //! I  --λ_S-->  S          (idle host admits a short)
@@ -31,14 +19,35 @@
 //! B, B'' --exit--> I
 //! ```
 //!
-//! and the short host becomes an **MMPP/M/1 queue** — a QBD whose level is
-//! the short-host queue length and whose phases are the long-host states,
-//! with arrival rate `λ_S` in every phase except `I`. The stationary
-//! probability of `I` depends only on mean sojourns, so the steal
-//! probability `q` is *exact* and satisfies the work-conservation identity
-//! `q = (1−ρ_L)/(1+ρ_S)` to machine precision (tested); the queue-length
-//! distribution inherits the three-moment busy-period approximation, the
-//! same order of approximation the paper uses for CS-CQ.
+//! Short arrivals are a MAP (`D0`, `D1`); Poisson shorts are the one-phase
+//! MAP `Map::poisson(λ_S)`, so [`analyze`] and [`analyze_map`] share one
+//! chain: the long-host states × the MAP phases. An arrival (a `D1`
+//! transition) fired in `I` is stolen and moves the long host to `S`; in
+//! every other state it joins the short host.
+//!
+//! # The long host (exact for exponential shorts)
+//!
+//! Longs are Poisson, so by PASTA the first long of a busy period sees the
+//! chain's stationary law restricted to the no-long states: it finds a
+//! short in service with probability `P(S) / P(I ∪ S)`, and the residual
+//! short is `Exp(μ_S)` by memorylessness. The long host is therefore an
+//! **M/G/1 queue with setup** `K = Exp(μ_S)` with that probability, else 0.
+//! For Poisson shorts, balance at `S` gives the closed form
+//! `λ_S/(λ_S+μ_S+λ_L)` (tested).
+//!
+//! # The short host (Markov-modulated overflow)
+//!
+//! The overflow stream is *not* Poisson — it is off exactly while the long
+//! host is idle, and its on periods are long-job busy periods. The short
+//! host is a QBD whose level is the short-host queue length and whose
+//! phases are the chain's states (an **MMPP/M/1 queue** for Poisson
+//! shorts). The steal probability is the *arrival-weighted* probability of
+//! `I` — MAP arrivals do not see time averages. It depends only on mean
+//! sojourns, so for Poisson shorts it is *exact* and satisfies the
+//! work-conservation identity `q = (1−ρ_L)/(1+ρ_S)` to machine precision
+//! (tested); the queue-length distribution inherits the three-moment
+//! busy-period approximation, the same order of approximation the paper
+//! uses for CS-CQ.
 
 use cyclesteal_dist::{busy, match3, Map, Moments3, Ph};
 use cyclesteal_linalg::Matrix;
@@ -46,7 +55,7 @@ use cyclesteal_markov::{ctmc, Qbd};
 use cyclesteal_mg1::{mg1, mm1};
 
 use crate::stability::{self, Policy};
-use crate::{AnalysisError, PolicyMeans, SystemParams};
+use crate::{check_arrival_rate, AnalysisError, PolicyMeans, SystemParams};
 
 /// Full CS-ID analysis output.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,23 +105,8 @@ impl From<CsIdReport> for PolicyMeans {
 pub fn analyze(params: &SystemParams) -> Result<CsIdReport, AnalysisError> {
     cyclesteal_obs::span!("core.cs_id.analyze");
     cyclesteal_obs::counter!("core.cs_id.analyze");
-    let (rho_s, rho_l) = (params.rho_s(), params.rho_l());
-    if !stability::is_stable(Policy::CsId, rho_s, rho_l) {
-        return Err(AnalysisError::Unstable {
-            policy: "CS-ID",
-            rho_s,
-            rho_l,
-            rho_s_max: stability::max_rho_s(Policy::CsId, rho_l),
-        });
-    }
-    let longs = long_host(params)?;
-    let short_response = short_host_mmpp(params)?;
-    Ok(CsIdReport {
-        short_response: short_response.response,
-        long_response: longs.response,
-        steal_probability: short_response.q_idle,
-        setup_probability: longs.p_setup,
-    })
+    check_theorem1(params)?;
+    analyze_chain(params, &Map::poisson(params.lambda_s())?)
 }
 
 /// The naive decomposition in which the overflow stream is treated as a
@@ -125,16 +119,9 @@ pub fn analyze(params: &SystemParams) -> Result<CsIdReport, AnalysisError> {
 ///
 /// As for [`analyze`].
 pub fn analyze_thinned_poisson(params: &SystemParams) -> Result<CsIdReport, AnalysisError> {
+    check_theorem1(params)?;
     let (rho_s, rho_l) = (params.rho_s(), params.rho_l());
-    if !stability::is_stable(Policy::CsId, rho_s, rho_l) {
-        return Err(AnalysisError::Unstable {
-            policy: "CS-ID",
-            rho_s,
-            rho_l,
-            rho_s_max: stability::max_rho_s(Policy::CsId, rho_l),
-        });
-    }
-    let longs = long_host(params)?;
+    let longs = long_host(params, &poisson_chain(params)?)?;
     let q = (1.0 - rho_l) / (1.0 + rho_s);
     let overflow = params.lambda_s() * (1.0 - q);
     let short_response =
@@ -155,162 +142,11 @@ pub fn analyze_thinned_poisson(params: &SystemParams) -> Result<CsIdReport, Anal
 ///
 /// [`AnalysisError::Param`] if `ρ_L ≥ 1`.
 pub fn long_response(params: &SystemParams) -> Result<f64, AnalysisError> {
-    Ok(long_host(params)?.response)
+    Ok(long_host(params, &poisson_chain(params)?)?.response)
 }
 
-struct LongHost {
-    response: f64,
-    p_setup: f64,
-}
-
-fn long_host(params: &SystemParams) -> Result<LongHost, AnalysisError> {
-    let (lambda_s, mu_s, lambda_l) = (params.lambda_s(), params.mu_s(), params.lambda_l());
-    if params.rho_l() >= 1.0 {
-        return Err(AnalysisError::Param(
-            cyclesteal_dist::DistError::Inconsistent {
-                reason: "long host requires rho_l < 1",
-            },
-        ));
-    }
-
-    // Two-state no-long chain {idle, short}, killed at rate lambda_l.
-    let q_chain =
-        Matrix::from_rows(&[&[-lambda_s, lambda_s], &[mu_s, -mu_s]]).expect("2x2 literal");
-    let killed = ctmc::killed_occupancy(&q_chain, lambda_l, 0)?;
-    let p_setup = killed.kill_state_probs()[1];
-
-    // Setup K = Exp(mu_s) with probability p_setup (memoryless residual).
-    let k1 = p_setup / mu_s;
-    let k2 = 2.0 * p_setup / (mu_s * mu_s);
-    let response = mg1::mean_response_with_setup(lambda_l, params.long_moments(), k1, k2)?;
-
-    Ok(LongHost { response, p_setup })
-}
-
-struct ShortHost {
-    response: f64,
-    q_idle: f64,
-}
-
-/// Long-host state indices inside the modulating chain.
-struct ModLayout {
-    kb: usize,
-    kn: usize,
-}
-
-impl ModLayout {
-    const IDLE: usize = 0;
-    const SHORT: usize = 1;
-    const SHORT_PENDING: usize = 2;
-
-    fn b(&self, i: usize) -> usize {
-        3 + i
-    }
-
-    fn bpp(&self, i: usize) -> usize {
-        3 + self.kb + i
-    }
-
-    fn dim(&self) -> usize {
-        3 + self.kb + self.kn
-    }
-}
-
-/// Builds the autonomous long-host chain with PH-matched busy periods and
-/// returns `(generator, layout)`.
-fn modulating_chain(params: &SystemParams) -> Result<(Matrix, ModLayout), AnalysisError> {
-    let (lambda_s, mu_s, lambda_l) = (params.lambda_s(), params.mu_s(), params.lambda_l());
-    let bl = fit(busy::mg1_busy(lambda_l, params.long_moments())?)?;
-    // Busy period started by the longs accumulated behind one short:
-    // theta = mu_s (a single short occupies the host in CS-ID).
-    let bpp = fit(busy::bn1(lambda_l, params.long_moments(), mu_s)?)?;
-    let layout = ModLayout {
-        kb: bl.dim(),
-        kn: bpp.dim(),
-    };
-    let n = layout.dim();
-    let mut q = Matrix::zeros(n, n);
-    q[(ModLayout::IDLE, ModLayout::SHORT)] = lambda_s;
-    for j in 0..layout.kb {
-        q[(ModLayout::IDLE, layout.b(j))] = lambda_l * bl.initial()[j];
-    }
-    q[(ModLayout::SHORT, ModLayout::IDLE)] = mu_s;
-    q[(ModLayout::SHORT, ModLayout::SHORT_PENDING)] = lambda_l;
-    for j in 0..layout.kn {
-        q[(ModLayout::SHORT_PENDING, layout.bpp(j))] = mu_s * bpp.initial()[j];
-    }
-    for i in 0..layout.kb {
-        for j in 0..layout.kb {
-            if i != j {
-                q[(layout.b(i), layout.b(j))] = bl.subgenerator()[(i, j)];
-            }
-        }
-        q[(layout.b(i), ModLayout::IDLE)] = bl.exit_rates()[i];
-    }
-    for i in 0..layout.kn {
-        for j in 0..layout.kn {
-            if i != j {
-                q[(layout.bpp(i), layout.bpp(j))] = bpp.subgenerator()[(i, j)];
-            }
-        }
-        q[(layout.bpp(i), ModLayout::IDLE)] = bpp.exit_rates()[i];
-    }
-    // Diagonal: conservative rows.
-    for i in 0..n {
-        let s: f64 = (0..n).filter(|&j| j != i).map(|j| q[(i, j)]).sum();
-        q[(i, i)] = -s;
-    }
-    Ok((q, layout))
-}
-
-fn fit(m: Moments3) -> Result<Ph, AnalysisError> {
-    Ok(match3::fit_ph(m)?.ph)
-}
-
-fn short_host_mmpp(params: &SystemParams) -> Result<ShortHost, AnalysisError> {
-    let (lambda_s, mu_s) = (params.lambda_s(), params.mu_s());
-    let (q, layout) = modulating_chain(params)?;
-    let n = layout.dim();
-
-    let q_idle = ctmc::stationary(&q)?[ModLayout::IDLE];
-
-    // MMPP/M/1: arrivals at rate lambda_s in every phase except IDLE.
-    let mut rates = vec![lambda_s; n];
-    rates[ModLayout::IDLE] = 0.0;
-    let a0 = Matrix::from_diag(&rates);
-    let a2 = Matrix::from_diag(&vec![mu_s; n]);
-    let mut a1 = q.clone();
-    for i in 0..n {
-        a1[(i, i)] -= rates[i] + mu_s;
-    }
-    // Boundary: empty short host; same phases, no departures.
-    let mut b00 = q;
-    for i in 0..n {
-        b00[(i, i)] -= rates[i];
-    }
-    let b01 = a0.clone();
-    let b10 = a2.clone();
-
-    let qbd = Qbd::new(b00, b01, b10, a0, a1, a2)?;
-    let sol = qbd.solve()?;
-    // Repeating level k = k+1 jobs at the short host.
-    let mean_jobs = sol.repeating_mass() + sol.expected_level_index();
-    let overflow_rate = lambda_s * (1.0 - q_idle);
-    let t_short_host = mean_jobs / overflow_rate;
-
-    Ok(ShortHost {
-        response: q_idle * params.mean_s() + (1.0 - q_idle) * t_short_host,
-        q_idle,
-    })
-}
-
-/// Analyzes CS-ID with **MAP short arrivals**. The modulating chain
-/// becomes the product of the long-host states and the MAP phases; an
-/// arrival fired from a `D1` transition is *stolen* (turns the idle host's
-/// state `I` into `S` without joining the short host) exactly when the long
-/// host is idle, so the steal probability is the *arrival-weighted*
-/// probability of `I` — MAP arrivals do not see time averages, and the
-/// analysis accounts for that.
+/// Analyzes CS-ID with **MAP short arrivals**: the same chain as
+/// [`analyze`], with the MAP's phases in place of the Poisson stream's one.
 ///
 /// # Errors
 ///
@@ -334,154 +170,201 @@ fn short_host_mmpp(params: &SystemParams) -> Result<ShortHost, AnalysisError> {
 /// # }
 /// ```
 pub fn analyze_map(params: &SystemParams, arrivals: &Map) -> Result<CsIdReport, AnalysisError> {
-    if (arrivals.rate() - params.lambda_s()).abs() > 1e-9 * params.lambda_s() {
-        return Err(AnalysisError::Param(
-            cyclesteal_dist::DistError::Inconsistent {
-                reason: "MAP arrival rate must equal params.lambda_s()",
-            },
-        ));
-    }
-    let (mu_s, lambda_l, rho_l) = (params.mu_s(), params.lambda_l(), params.rho_l());
-    if rho_l >= 1.0 {
+    check_arrival_rate(params, Some(arrivals))?;
+    if params.rho_l() >= 1.0 {
         return Err(AnalysisError::Unstable {
             policy: "CS-ID",
             rho_s: params.rho_s(),
-            rho_l,
+            rho_l: params.rho_l(),
             rho_s_max: 0.0,
         });
     }
+    analyze_chain(params, arrivals)
+}
 
-    // Long-host PH pieces (identical to the Poisson case: they only involve
-    // the Poisson longs and the exponential short in service).
+/// Theorem 1's CS-ID region.
+fn check_theorem1(params: &SystemParams) -> Result<(), AnalysisError> {
+    let (rho_s, rho_l) = (params.rho_s(), params.rho_l());
+    if stability::is_stable(Policy::CsId, rho_s, rho_l) {
+        return Ok(());
+    }
+    Err(AnalysisError::Unstable {
+        policy: "CS-ID",
+        rho_s,
+        rho_l,
+        rho_s_max: stability::max_rho_s(Policy::CsId, rho_l),
+    })
+}
+
+/// Long-host states; the busy-period phases follow from index 3.
+const I: usize = 0;
+const S: usize = 1;
+const SP: usize = 2;
+
+/// The modulating chain: long-host states × MAP phases, state
+/// `lh * ka + a`.
+struct Chain {
+    /// MAP phase count.
+    ka: usize,
+    /// Level-up moves: arrivals that join the short host.
+    a0: Matrix,
+    /// Every other move, off-diagonal only.
+    rest: Matrix,
+    /// Stationary law of `rest + a0`.
+    pi: Vec<f64>,
+}
+
+impl Chain {
+    /// Stationary probability of long-host state `lh`, over all phases.
+    fn mass(&self, lh: usize) -> f64 {
+        (0..self.ka).map(|a| self.pi[lh * self.ka + a]).sum()
+    }
+}
+
+fn poisson_chain(params: &SystemParams) -> Result<Chain, AnalysisError> {
+    build_chain(params, &Map::poisson(params.lambda_s())?)
+}
+
+/// The one chain builder.
+fn build_chain(params: &SystemParams, arrivals: &Map) -> Result<Chain, AnalysisError> {
+    if params.rho_l() >= 1.0 {
+        return Err(AnalysisError::Param(
+            cyclesteal_dist::DistError::Inconsistent {
+                reason: "long host requires rho_l < 1",
+            },
+        ));
+    }
+    let (mu_s, lambda_l) = (params.mu_s(), params.lambda_l());
     let bl = fit(busy::mg1_busy(lambda_l, params.long_moments())?)?;
+    // Busy period started by the longs accumulated behind one short:
+    // theta = mu_s (a single short occupies the host in CS-ID).
     let bpp = fit(busy::bn1(lambda_l, params.long_moments(), mu_s)?)?;
-    let (kb, kn) = (bl.dim(), bpp.dim());
-    let n_lh = 3 + kb + kn; // I, S, S', B.., B''..
+
+    // Long-host moves other than short arrivals.
+    let n_lh = 3 + bl.dim() + bpp.dim();
+    let mut moves = Matrix::zeros(n_lh, n_lh);
+    moves[(S, I)] = mu_s;
+    moves[(S, SP)] = lambda_l;
+    for (from, rate, ph, at) in [(I, lambda_l, &bl, 3), (SP, mu_s, &bpp, 3 + bl.dim())] {
+        for i in 0..ph.dim() {
+            moves[(from, at + i)] = rate * ph.initial()[i];
+            for j in 0..ph.dim() {
+                if i != j {
+                    moves[(at + i, at + j)] = ph.subgenerator()[(i, j)];
+                }
+            }
+            moves[(at + i, I)] = ph.exit_rates()[i];
+        }
+    }
+
+    // Product with the MAP phases.
+    let (d0, d1) = (arrivals.d0(), arrivals.d1());
     let ka = arrivals.dim();
     let n = n_lh * ka;
-    const I: usize = 0;
-    const S: usize = 1;
-    const SP: usize = 2;
-    let b_at = |i: usize| 3 + i;
-    let bpp_at = |i: usize| 3 + kb + i;
-
-    // `a0` holds level-up transitions (arrivals joining the short host);
-    // `rest` all other phase transitions.
     let mut a0 = Matrix::zeros(n, n);
     let mut rest = Matrix::zeros(n, n);
-    for lh in 0..n_lh {
+    for x in 0..n_lh {
         for a in 0..ka {
-            let from = lh * ka + a;
-            // MAP internal moves.
+            let from = x * ka + a;
+            for y in (0..n_lh).filter(|&y| y != x) {
+                rest[(from, y * ka + a)] += moves[(x, y)];
+            }
             for b in 0..ka {
                 if a != b {
-                    rest[(from, lh * ka + b)] += arrivals.d0()[(a, b)];
+                    rest[(from, x * ka + b)] += d0[(a, b)];
                 }
-            }
-            // Arrivals: stolen from I, short-host-bound otherwise.
-            for b in 0..ka {
-                let r = arrivals.d1()[(a, b)];
-                if lh == I {
-                    rest[(from, S * ka + b)] += r;
+                // Arrivals: stolen from I, short-host-bound otherwise.
+                if x == I {
+                    rest[(from, S * ka + b)] += d1[(a, b)];
                 } else {
-                    a0[(from, lh * ka + b)] += r;
+                    a0[(from, x * ka + b)] += d1[(a, b)];
                 }
             }
-        }
-    }
-    for a in 0..ka {
-        // Long arrivals and exponential-short completions at the long host.
-        for j in 0..kb {
-            rest[(I * ka + a, b_at(j) * ka + a)] += lambda_l * bl.initial()[j];
-        }
-        rest[(S * ka + a, I * ka + a)] += mu_s;
-        rest[(S * ka + a, SP * ka + a)] += lambda_l;
-        for j in 0..kn {
-            rest[(SP * ka + a, bpp_at(j) * ka + a)] += mu_s * bpp.initial()[j];
-        }
-        for i in 0..kb {
-            for j in 0..kb {
-                if i != j {
-                    rest[(b_at(i) * ka + a, b_at(j) * ka + a)] += bl.subgenerator()[(i, j)];
-                }
-            }
-            rest[(b_at(i) * ka + a, I * ka + a)] += bl.exit_rates()[i];
-        }
-        for i in 0..kn {
-            for j in 0..kn {
-                if i != j {
-                    rest[(bpp_at(i) * ka + a, bpp_at(j) * ka + a)] += bpp.subgenerator()[(i, j)];
-                }
-            }
-            rest[(bpp_at(i) * ka + a, I * ka + a)] += bpp.exit_rates()[i];
         }
     }
 
-    // Stationary phase distribution of the full modulating process.
-    let mut phase_gen = rest.add(&a0).expect("same dims");
+    let mut generator = rest.add(&a0).expect("same dims");
     for i in 0..n {
-        let s: f64 = (0..n).filter(|&j| j != i).map(|j| phase_gen[(i, j)]).sum();
-        phase_gen[(i, i)] = -s;
+        let s: f64 = (0..n).filter(|&j| j != i).map(|j| generator[(i, j)]).sum();
+        generator[(i, i)] = -s;
     }
-    let pi = ctmc::stationary(&phase_gen)?;
+    let pi = ctmc::stationary(&generator)?;
+    Ok(Chain { ka, a0, rest, pi })
+}
 
-    // Steal probability: arrival-weighted P(long host idle).
-    let rate = arrivals.rate();
-    let mut stolen_rate = 0.0;
-    for a in 0..ka {
-        let d1_row: f64 = (0..ka).map(|b| arrivals.d1()[(a, b)]).sum();
-        stolen_rate += pi[I * ka + a] * d1_row;
-    }
-    let q_steal = stolen_rate / rate;
+fn fit(m: Moments3) -> Result<Ph, AnalysisError> {
+    Ok(match3::fit_ph(m)?.ph)
+}
 
-    // Setup probability: Poisson longs see time averages (PASTA) among the
-    // no-long states {I, S}.
-    let p_i: f64 = (0..ka).map(|a| pi[I * ka + a]).sum();
-    let p_s: f64 = (0..ka).map(|a| pi[S * ka + a]).sum();
+struct LongHost {
+    response: f64,
+    p_setup: f64,
+}
+
+/// The one long-host model: M/G/1 with an `Exp(μ_S)` setup whose
+/// probability is the PASTA share of `S` among the no-long states.
+fn long_host(params: &SystemParams, chain: &Chain) -> Result<LongHost, AnalysisError> {
+    let mu_s = params.mu_s();
+    let (p_i, p_s) = (chain.mass(I), chain.mass(S));
     let p_setup = p_s / (p_i + p_s);
-    let long_response = mg1::mean_response_with_setup(
-        lambda_l,
+    let response = mg1::mean_response_with_setup(
+        params.lambda_l(),
         params.long_moments(),
         p_setup / mu_s,
         2.0 * p_setup / (mu_s * mu_s),
     )?;
+    Ok(LongHost { response, p_setup })
+}
+
+/// The chain's report: long host, steal probability, and the short-host
+/// QBD on the overflow stream.
+fn analyze_chain(params: &SystemParams, arrivals: &Map) -> Result<CsIdReport, AnalysisError> {
+    let (lambda_s, mu_s) = (params.lambda_s(), params.mu_s());
+    let chain = build_chain(params, arrivals)?;
+    let longs = long_host(params, &chain)?;
+
+    // Steal probability: arrival-weighted P(long host idle).
+    let ka = chain.ka;
+    let d1_rows = arrivals.d1().row_sums();
+    let q_steal: f64 = (0..ka)
+        .map(|a| chain.pi[I * ka + a] * (d1_rows[a] / lambda_s))
+        .sum();
 
     // Short-host stability on the overflow stream.
-    let overflow_rate = rate * (1.0 - q_steal);
-    if overflow_rate >= params.mu_s() {
+    let overflow_rate = lambda_s * (1.0 - q_steal);
+    if overflow_rate >= mu_s {
         return Err(AnalysisError::Unstable {
             policy: "CS-ID",
             rho_s: params.rho_s(),
-            rho_l,
-            rho_s_max: params.rho_s() * params.mu_s() / overflow_rate,
+            rho_l: params.rho_l(),
+            rho_s_max: params.rho_s() * mu_s / overflow_rate,
         });
     }
 
-    // Short host QBD: level = jobs at the short host.
-    let mut a1 = rest.clone();
+    // Short host QBD: level = jobs at the short host; the boundary level
+    // (empty short host) has the same phases and no departures.
+    let Chain { a0, rest, .. } = chain;
+    let n = rest.rows();
     let a2 = Matrix::from_diag(&vec![mu_s; n]);
-    for i in 0..n {
-        let out: f64 = (0..n).filter(|&j| j != i).map(|j| a1[(i, j)]).sum::<f64>()
-            + a0.row(i).iter().sum::<f64>()
-            + mu_s;
-        a1[(i, i)] = -out;
-    }
+    let mut a1 = rest.clone();
     let mut b00 = rest;
     for i in 0..n {
-        let out: f64 = (0..n).filter(|&j| j != i).map(|j| b00[(i, j)]).sum::<f64>()
-            + a0.row(i).iter().sum::<f64>();
-        b00[(i, i)] = -out;
+        let out: f64 = (0..n).filter(|&j| j != i).map(|j| b00[(i, j)]).sum();
+        let up: f64 = a0.row(i).iter().sum();
+        a1[(i, i)] = -out - (up + mu_s);
+        b00[(i, i)] = -out - up;
     }
     let qbd = Qbd::new(b00, a0.clone(), a2.clone(), a0, a1, a2)?;
     let sol = qbd.solve()?;
+    // Repeating level k = k+1 jobs at the short host.
     let mean_jobs = sol.repeating_mass() + sol.expected_level_index();
     let t_short_host = mean_jobs / overflow_rate;
 
     Ok(CsIdReport {
         short_response: q_steal * params.mean_s() + (1.0 - q_steal) * t_short_host,
-        long_response,
+        long_response: longs.response,
         steal_probability: q_steal,
-        setup_probability: p_setup,
+        setup_probability: longs.p_setup,
     })
 }
 
@@ -489,17 +372,20 @@ pub fn analyze_map(params: &SystemParams, arrivals: &Map) -> Result<CsIdReport, 
 mod tests {
     use super::*;
 
+    fn steal_probability(p: &SystemParams) -> f64 {
+        analyze(p).unwrap().steal_probability
+    }
+
     #[test]
     fn q_idle_matches_work_conservation_exactly() {
         // Independent exact identity: q = (1 - rho_l)/(1 + rho_s).
         for (rho_s, rho_l) in [(0.5, 0.3), (0.9, 0.5), (1.2, 0.2), (0.3, 0.9), (1.0, 0.5)] {
             let p = SystemParams::exponential(rho_s, 1.0, rho_l, 1.0).unwrap();
-            let sh = short_host_mmpp(&p).unwrap();
+            let q_idle = steal_probability(&p);
             let balance = (1.0 - rho_l) / (1.0 + rho_s);
             assert!(
-                (sh.q_idle - balance).abs() < 1e-10,
-                "rho_s={rho_s} rho_l={rho_l}: {} vs {balance}",
-                sh.q_idle
+                (q_idle - balance).abs() < 1e-10,
+                "rho_s={rho_s} rho_l={rho_l}: {q_idle} vs {balance}"
             );
         }
     }
@@ -508,17 +394,16 @@ mod tests {
     fn q_idle_exact_for_coxian_longs_too() {
         let longs = Moments3::from_mean_scv_balanced(1.0, 8.0).unwrap();
         let p = SystemParams::from_loads(0.8, 1.0, 0.4, longs).unwrap();
-        let sh = short_host_mmpp(&p).unwrap();
         let balance = (1.0 - 0.4) / (1.0 + 0.8);
-        assert!((sh.q_idle - balance).abs() < 1e-9);
+        assert!((steal_probability(&p) - balance).abs() < 1e-9);
     }
 
     #[test]
     fn setup_probability_closed_form() {
         let p = SystemParams::exponential(0.8, 1.0, 0.4, 1.0).unwrap();
-        let lh = long_host(&p).unwrap();
+        let p_setup = analyze(&p).unwrap().setup_probability;
         let want = 0.8 / (0.4 + 0.8 + 1.0);
-        assert!((lh.p_setup - want).abs() < 1e-12);
+        assert!((p_setup - want).abs() < 1e-12);
     }
 
     #[test]
@@ -581,19 +466,40 @@ mod tests {
 
     #[test]
     fn map_poisson_reduces_to_base_analysis() {
+        // One chain builder: the one-phase MAP is the Poisson analysis,
+        // bit for bit.
         let p = SystemParams::exponential(0.9, 1.0, 0.5, 1.0).unwrap();
         let base = analyze(&p).unwrap();
         let pois = Map::poisson(p.lambda_s()).unwrap();
         let via_map = analyze_map(&p, &pois).unwrap();
-        assert!(
-            (via_map.short_response - base.short_response).abs() < 1e-9,
-            "{} vs {}",
-            via_map.short_response,
-            base.short_response
-        );
-        assert!((via_map.long_response - base.long_response).abs() < 1e-9);
-        assert!((via_map.steal_probability - base.steal_probability).abs() < 1e-9);
-        assert!((via_map.setup_probability - base.setup_probability).abs() < 1e-9);
+        let bits = |r: &CsIdReport| {
+            [
+                r.short_response.to_bits(),
+                r.long_response.to_bits(),
+                r.steal_probability.to_bits(),
+                r.setup_probability.to_bits(),
+            ]
+        };
+        assert_eq!(bits(&via_map), bits(&base), "{via_map:?} vs {base:?}");
+    }
+
+    #[test]
+    fn map_mmpp_equal_intensities_is_poisson() {
+        // An MMPP whose two phases emit at the same rate is a Poisson
+        // process; the two-phase product chain must give the one-phase
+        // answer.
+        let p = SystemParams::exponential(0.9, 1.0, 0.5, 1.0).unwrap();
+        let mmpp = Map::mmpp2(0.3, 0.7, 0.9, 0.9).unwrap();
+        let via_map = analyze_map(&p, &mmpp).unwrap();
+        let base = analyze(&p).unwrap();
+        for (got, want) in [
+            (via_map.short_response, base.short_response),
+            (via_map.long_response, base.long_response),
+            (via_map.steal_probability, base.steal_probability),
+            (via_map.setup_probability, base.setup_probability),
+        ] {
+            assert!((got - want).abs() < 1e-8, "{via_map:?} vs {base:?}");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`cs_id`] — cycle stealing with **immediate dispatch**: an arriving
 //!   short runs on the long host iff that host is idle. Analyzed by
 //!   decomposing the system into the long host (an M/G/1 queue with setup,
-//!   exact for exponential shorts) and the short host (an M/M/1 on the
-//!   thinned overflow stream — the companion paper's approximation).
+//!   exact for exponential shorts) and the short host (a Markov-modulated
+//!   M/M/1 on the overflow stream — the companion paper's approximation).
 //! * [`cs_cq`] — cycle stealing with a **central queue** and renamable
 //!   hosts: the paper's headline analysis. The number of shorts is tracked
 //!   exactly as the level of a QBD; the long-job dynamics collapse into
@@ -58,6 +58,8 @@ pub mod stability;
 
 pub use error::AnalysisError;
 pub use params::SystemParams;
+
+use cyclesteal_dist::{DistError, Map};
 
 /// Per-class mean response times produced by every analyzer.
 ///
@@ -116,4 +118,20 @@ pub fn compare(params: &SystemParams) -> Result<Comparison, AnalysisError> {
         cs_id: lift(cs_id::analyze(params).map(PolicyMeans::from))?,
         cs_cq: lift(cs_cq::analyze(params).map(PolicyMeans::from))?,
     })
+}
+
+/// A MAP driving a chain must carry the `λ_S` that `params` records (the
+/// stability check and Little's law use it); `None` is Poisson at that rate.
+pub(crate) fn check_arrival_rate(
+    params: &SystemParams,
+    arrivals: Option<&Map>,
+) -> Result<(), AnalysisError> {
+    match arrivals {
+        Some(map) if (map.rate() - params.lambda_s()).abs() > 1e-9 * params.lambda_s() => {
+            Err(AnalysisError::Param(DistError::Inconsistent {
+                reason: "MAP arrival rate must equal params.lambda_s()",
+            }))
+        }
+        _ => Ok(()),
+    }
 }

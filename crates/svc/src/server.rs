@@ -38,6 +38,7 @@
 //! stop admission → finish queued + in-flight queries → compact the WAL
 //! into a snapshot → flush the obs snapshot → close connections.
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -362,8 +363,15 @@ pub struct DrainReport {
 }
 
 /// The live-connection registry: each reader thread paired with the
-/// connection state it serves, so drain can shut sockets and join.
-type ConnRegistry = Arc<Mutex<Vec<(Arc<ConnState>, JoinHandle<()>)>>>;
+/// connection state it serves, keyed by accept order. A reader removes its
+/// own entry when it exits; drain shuts the remaining sockets and joins.
+type ConnRegistry = Arc<Mutex<ConnTable>>;
+
+#[derive(Default)]
+struct ConnTable {
+    next_id: u64,
+    live: BTreeMap<u64, (Arc<ConnState>, JoinHandle<()>)>,
+}
 
 /// A running daemon instance.
 pub struct Server {
@@ -446,7 +454,7 @@ impl Server {
             })
             .collect::<io::Result<Vec<_>>>()?;
 
-        let conns: ConnRegistry = Arc::new(Mutex::new(Vec::new()));
+        let conns = ConnRegistry::default();
         let accept = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);
@@ -561,8 +569,8 @@ impl Server {
             let _ = h.join();
         }
         // Now unblock the connection readers and collect them.
-        let conns = std::mem::take(&mut *lock(&self.conns));
-        for (conn, handle) in conns {
+        let conns = std::mem::take(&mut lock(&self.conns).live);
+        for (conn, handle) in conns.into_values() {
             let _ = conn.stream.shutdown(Shutdown::Both);
             let _ = handle.join();
         }
@@ -623,14 +631,25 @@ fn register_conn(
         inflight: AtomicUsize::new(0),
     });
     cyclesteal_obs::counter!("svc.conn.accepted");
+    // Spawn under the registry lock, so the reader cannot look for its
+    // entry before it is inserted.
+    let mut table = lock(conns);
+    let id = table.next_id;
+    table.next_id += 1;
     let handle = {
         let shared = Arc::clone(shared);
         let conn = Arc::clone(&conn);
+        let conns = Arc::clone(conns);
         std::thread::Builder::new()
             .name("svc-conn".to_string())
-            .spawn(move || reader_loop(reader, &conn, &shared, per_conn_inflight))?
+            .spawn(move || {
+                reader_loop(reader, &conn, &shared, per_conn_inflight);
+                // Free this connection's sockets now, not at drain (which
+                // may already have taken the entry).
+                lock(&conns).live.remove(&id);
+            })?
     };
-    lock(conns).push((conn, handle));
+    table.live.insert(id, (conn, handle));
     Ok(())
 }
 

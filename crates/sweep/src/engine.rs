@@ -347,10 +347,7 @@ pub(crate) fn evaluate_analysis(
     if stable {
         let means = match point.policy {
             Policy::Dedicated => dedicated::analyze(&params),
-            Policy::CsId => cs_id::analyze(&params).map(|r| cyclesteal_core::PolicyMeans {
-                short_response: r.short_response,
-                long_response: r.long_response,
-            }),
+            Policy::CsId => cs_id::analyze(&params).map(cyclesteal_core::PolicyMeans::from),
             Policy::CsCq => {
                 // CS-CQ goes through the recovery ladder: infeasible
                 // three-moment fits and exhausted R-iterations degrade the
