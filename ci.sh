@@ -23,8 +23,14 @@ cargo test -q -p cyclesteal-sweep --offline --test fault_injection
 echo "==> obs determinism (telemetry counts bit-identical across 1/2/8 threads)"
 cargo test -q -p cyclesteal-sweep --offline --features obs --test obs_determinism
 
-echo "==> svc telemetry e2e (healthz, scrape-vs-registry bit-match, slow log, periodic flush)"
-cargo test -q -p cyclesteal-svc --offline --features obs --test metrics
+echo "==> svc telemetry e2e (healthz, scrape-vs-registry bit-match, one count per serving event, slow log, periodic flush)"
+# Both builds gate the one-count contract: each serving count is one
+# native series (draining sheds included) with or without the obs
+# registry. The `drain` suite checks that two `drain` frames plus
+# Server::drain count svc.drain.requested once; it owns its test binary
+# because the registry is process-global.
+cargo test -q -p cyclesteal-svc --offline --test metrics --test drain
+cargo test -q -p cyclesteal-svc --offline --features obs --test metrics --test drain
 
 echo "==> batch differential oracle (batched QBD solves bit-identical to scalar)"
 # The batched solver is a pure performance transform; these suites are the

@@ -58,7 +58,7 @@ pub use registry::{
     snapshot, snapshot_if_active, span_enter, span_enter_root, trace_begin, Session, SpanGuard,
     TraceGuard,
 };
-pub use snapshot::{DeltaWindow, ObsSnapshot, SpanEntry};
+pub use snapshot::{ObsSnapshot, SpanEntry};
 
 /// Adds to a counter: `counter!("name")` adds 1, `counter!("name", n)`
 /// adds `n`. The name must be a `&'static str`; for runtime-built names

@@ -40,20 +40,41 @@ struct Inner<T> {
     open: bool,
 }
 
-/// One consistent read of the admission load counters, taken by
+/// One consistent read of every admission count, taken by
 /// [`Admission::snapshot`] in race-safe order (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionSnapshot {
     /// Jobs ever admitted to the queue.
     pub admitted: u64,
     /// Jobs currently queued, not yet claimed by a worker.
     pub depth: u64,
-    /// Jobs claimed by workers and not yet completed.
+    /// `false` once draining has begun.
+    pub open: bool,
+    /// Jobs claimed by workers and not yet completed. With batched drains
+    /// a busy worker may hold several, so `depth + in_service` (not
+    /// `+ busy_workers`) is the count of admitted-but-unfinished work.
     pub in_service: u64,
     /// Workers currently holding at least one claimed job.
     pub busy_workers: u64,
-    /// Jobs completed by workers.
+    /// Jobs completed by workers. Every dequeued job is answered before
+    /// it completes, so this is also the daemon's served count.
     pub completed: u64,
+    /// Sheds because the queue was at capacity.
+    pub shed_queue_full: u64,
+    /// Sheds because the queue was closed (draining).
+    pub shed_draining: u64,
+    /// Worker-pool size the retry hint divides by.
+    pub workers: u64,
+    /// EWMA of per-job service time in ns (`0` = no sample yet); the
+    /// estimate that prices `retry_after_ms`.
+    pub ewma_service_ns: u64,
+}
+
+impl AdmissionSnapshot {
+    /// Every shed this queue decided (queue full or draining).
+    pub fn shed(&self) -> u64 {
+        self.shed_queue_full + self.shed_draining
+    }
 }
 
 /// A bounded MPMC job queue with admission accounting.
@@ -65,7 +86,6 @@ pub struct Admission<T> {
     /// EWMA of per-job service time in ns (`0` = no sample yet).
     ewma_service_ns: AtomicU64,
     admitted: AtomicU64,
-    shed: AtomicU64,
     shed_queue_full: AtomicU64,
     shed_draining: AtomicU64,
     completed: AtomicU64,
@@ -93,7 +113,6 @@ impl<T> Admission<T> {
             workers: workers.max(1) as u64,
             ewma_service_ns: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
             shed_queue_full: AtomicU64::new(0),
             shed_draining: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -115,17 +134,13 @@ impl<T> Admission<T> {
     pub fn admit(&self, job: T) -> Result<(), AdmitError> {
         let mut inner = self.lock();
         if !inner.open {
-            self.shed.fetch_add(1, Ordering::Relaxed);
             self.shed_draining.fetch_add(1, Ordering::Relaxed);
-            cyclesteal_obs::counter!("svc.admission.shed|reason=draining");
             return Err(AdmitError::Draining);
         }
         if inner.queue.len() >= self.capacity {
             let depth = inner.queue.len() as u64;
             drop(inner);
-            self.shed.fetch_add(1, Ordering::Relaxed);
             self.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-            cyclesteal_obs::counter!("svc.admission.shed|reason=queue_full");
             return Err(AdmitError::QueueFull {
                 retry_after_ms: self.retry_after_ms(depth),
             });
@@ -135,7 +150,6 @@ impl<T> Admission<T> {
         // After the push: a snapshot reading `admitted` first and `depth`
         // second can only over-estimate live work, never under-estimate.
         self.admitted.fetch_add(1, Ordering::SeqCst);
-        cyclesteal_obs::counter!("svc.admission.admitted");
         self.ready.notify_one();
         Ok(())
     }
@@ -195,20 +209,12 @@ impl<T> Admission<T> {
     }
 
     /// Stops admission and wakes every blocked worker. Already-queued jobs
-    /// are still handed out.
-    pub fn close(&self) {
-        self.lock().open = false;
+    /// are still handed out. Returns `true` only for the call that closed
+    /// the queue, so a drain requested several ways is counted once.
+    pub fn close(&self) -> bool {
+        let was_open = std::mem::replace(&mut self.lock().open, false);
         self.ready.notify_all();
-    }
-
-    /// `false` once draining has begun.
-    pub fn is_open(&self) -> bool {
-        self.lock().open
-    }
-
-    /// Current backlog length.
-    pub fn depth(&self) -> usize {
-        self.lock().queue.len()
+        was_open
     }
 
     /// Marks one claimed job complete and feeds its service time into the
@@ -245,61 +251,37 @@ impl<T> Admission<T> {
         (drain_ns / 1_000_000).max(1)
     }
 
-    /// One probe-consistent load snapshot. The read order is load-bearing:
-    /// `admitted` first, then queue depth (under the lock), then
-    /// `in_service`, then `completed` last. Together with the write
+    /// One probe-consistent snapshot of every count. The read order is
+    /// load-bearing: `admitted` first, then queue depth (under the lock),
+    /// then `in_service`, then `completed` last. Together with the write
     /// orderings (push before `admitted`, claims inside the dequeue lock,
     /// `completed` before the in-service release) this guarantees
     /// `depth + in_service >= admitted - completed` for every snapshot,
     /// no matter how admits, dequeues, and completions interleave — a
     /// probe can overcount a job mid-handoff, but admitted-unfinished
-    /// work is never invisible.
+    /// work is never invisible. The sheds and the EWMA carry no such
+    /// invariant and are read after.
     pub fn snapshot(&self) -> AdmissionSnapshot {
         let admitted = self.admitted.load(Ordering::SeqCst);
-        let depth = self.lock().queue.len() as u64;
+        let (depth, open) = {
+            let inner = self.lock();
+            (inner.queue.len() as u64, inner.open)
+        };
         let in_service = self.in_service.load(Ordering::SeqCst);
         let busy_workers = self.busy_workers.load(Ordering::SeqCst);
         let completed = self.completed.load(Ordering::SeqCst);
         AdmissionSnapshot {
             admitted,
             depth,
+            open,
             in_service,
             busy_workers,
             completed,
+            shed_queue_full: self.shed_queue_full.load(Ordering::Relaxed),
+            shed_draining: self.shed_draining.load(Ordering::Relaxed),
+            workers: self.workers,
+            ewma_service_ns: self.ewma_service_ns.load(Ordering::Relaxed),
         }
-    }
-
-    /// Workers currently holding claimed jobs.
-    pub fn busy_workers(&self) -> u64 {
-        self.busy_workers.load(Ordering::SeqCst)
-    }
-
-    /// Jobs claimed by workers and not yet completed.
-    pub fn in_service(&self) -> u64 {
-        self.in_service.load(Ordering::SeqCst)
-    }
-
-    /// `(admitted, shed, completed)` counters.
-    pub fn counts(&self) -> (u64, u64, u64) {
-        (
-            self.admitted.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
-            self.completed.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Sheds split by reason: `(queue_full, draining)`.
-    pub fn shed_reasons(&self) -> (u64, u64) {
-        (
-            self.shed_queue_full.load(Ordering::Relaxed),
-            self.shed_draining.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The current EWMA of per-job service time in ns (`0` = no sample
-    /// yet). This is the estimate that prices `retry_after_ms`.
-    pub fn ewma_ns(&self) -> u64 {
-        self.ewma_service_ns.load(Ordering::Relaxed)
     }
 }
 
@@ -321,8 +303,8 @@ mod tests {
             }
             other => panic!("expected QueueFull, got {other:?}"),
         }
-        let (admitted, shed, _) = q.counts();
-        assert_eq!((admitted, shed), (2, 1));
+        let s = q.snapshot();
+        assert_eq!((s.admitted, s.shed()), (2, 1));
     }
 
     #[test]
@@ -342,7 +324,11 @@ mod tests {
         // already price one whole observed service time, not ns/8.
         let q = Admission::new(1, 1);
         q.record_service_ns(8_000_000); // one 8 ms observation, nothing else
-        assert_eq!(q.ewma_ns(), 8_000_000, "EWMA must seed at full weight");
+        assert_eq!(
+            q.snapshot().ewma_service_ns,
+            8_000_000,
+            "EWMA must seed at full weight"
+        );
         q.admit(()).unwrap();
         match q.admit(()) {
             Err(AdmitError::QueueFull { retry_after_ms }) => {
@@ -425,8 +411,16 @@ mod tests {
         let q = Arc::new(Admission::new(8, 2));
         q.admit(10).unwrap();
         q.admit(11).unwrap();
-        q.close();
+        assert!(q.close(), "the first close closes the queue");
+        assert!(!q.close(), "a repeated close reports it was already closed");
         assert!(matches!(q.admit(12), Err(AdmitError::Draining)));
+        let s = q.snapshot();
+        assert!(!s.open);
+        assert_eq!(
+            (s.shed_draining, s.shed()),
+            (1, 1),
+            "a draining shed is counted"
+        );
         // Queued jobs still come out, then None.
         assert_eq!(q.next(), Some(10));
         assert_eq!(q.next(), Some(11));
@@ -459,7 +453,7 @@ mod tests {
         for _ in 0..50 {
             q.record_service_ns(1_000_000);
         }
-        let ewma = q.ewma_service_ns.load(Ordering::Relaxed);
+        let ewma = q.snapshot().ewma_service_ns;
         assert!(
             (900_000..2_000_000).contains(&ewma),
             "EWMA should converge toward the recent 1 ms samples, got {ewma}"

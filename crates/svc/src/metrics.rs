@@ -2,24 +2,30 @@
 //! Prometheus text exposition, plus the minimal HTTP/1.0 plumbing the
 //! metrics listener and its scraping client share.
 //!
-//! # Two sources, one body
+//! # Which counts are native, which are obs
 //!
-//! A scrape body is the concatenation of
+//! Every serving event changes exactly one counter in one place:
 //!
-//! 1. **native series** — counters and gauges the daemon maintains in
-//!    plain atomics (served, sheds by reason, queue depth, cache and WAL
-//!    stats, the EWMA service estimate). These exist even when the `obs`
-//!    feature is compiled out, so `/metrics` always answers;
-//! 2. **the live obs registry** — `cyclesteal_obs::prom::render_prometheus`
-//!    over the current snapshot, appended verbatim when recording is
-//!    active. Appending the renderer's exact output is what makes the
-//!    scrape *bit-match* the registry: a test can snapshot and assert
-//!    `body.ends_with(render_prometheus(&snapshot))`.
+//! * **native** — every count an operator needs from any build: admits,
+//!   sheds by reason, completions (= served), queue load, drain state,
+//!   cache, WAL and batch counts, slow-log lines. Each is kept next to
+//!   the code that decides it ([`Admission`], the solve cache, the WAL
+//!   handle, the server), so `/metrics`, `/healthz` and the `stats`
+//!   command answer with the `obs` feature compiled out.
+//!   One [`NativeMetrics`] read — built from the structs that already
+//!   name these values — feeds all three formats.
+//! * **obs** — only what has no native twin: spans, latency histograms,
+//!   per-query traces, solver and sweep counters, `svc.conn.accepted`,
+//!   `svc.drain.*` and `svc.wal.{truncated,compact,snapshot_rejected,
+//!   append_failed}`. When recording is active,
+//!   `cyclesteal_obs::prom::render_prometheus` over the live snapshot is
+//!   appended to the native series verbatim, so a test can assert
+//!   `body.ends_with(render_prometheus(&snapshot))` bit-for-bit.
 //!
-//! Native metric names are disjoint from obs registry names
-//! (`svc_shed_total` vs `svc.admission.shed|reason=…` →
-//! `svc_admission_shed_total`), so the concatenation never emits
-//! duplicate series.
+//! No obs counter duplicates a native one, so a scrape carries exactly
+//! one series per serving count.
+//!
+//! [`Admission`]: crate::admission::Admission
 //!
 //! # HTTP subset
 //!
@@ -32,78 +38,61 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use cyclesteal_core::cache::CacheStats;
 use cyclesteal_obs::ObsSnapshot;
 
-/// Point-in-time values of every natively-maintained daemon metric.
-/// Collected under the server's locks/atomics, rendered lock-free.
+use crate::admission::AdmissionSnapshot;
+use crate::wal::WalStats;
+
+/// Native accounting of the serving-side micro-batch plane (the
+/// `svc_batch_*` series), accumulated per worker wakeup.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchCounts {
+    /// Worker wakeups that drained more than one job.
+    pub drains: u64,
+    /// High-water mark of jobs drained in a single worker wakeup.
+    pub width_max: u64,
+    /// Points handed to the batch presolve planner.
+    pub presolved: u64,
+    /// Distinct uncached chains the presolve planned. The rest of the
+    /// presolved points (`presolved - unique`) were dedup hits: an
+    /// identical report key in the same drain, or a report or solution
+    /// already cached.
+    pub unique: u64,
+    /// Chains solved inside batched (≥ 2 lane) groups.
+    pub batched: u64,
+    /// Chains whose shape group degenerated to a scalar solve.
+    pub scalar: u64,
+    /// Solutions seeded into the shared cache by presolves.
+    pub seeded: u64,
+    /// Jobs excluded from a presolve because their deadline had already
+    /// expired at drain time.
+    pub skipped_deadline: u64,
+    /// Points excluded from a presolve because the armed fault plan
+    /// targets their scope.
+    pub skipped_fault: u64,
+}
+
+/// Point-in-time values of every natively-maintained daemon metric, read
+/// once per scrape, probe or `stats` command and formatted lock-free.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NativeMetrics {
-    /// Queries evaluated and answered.
-    pub served: u64,
-    /// Queries admitted to the queue.
-    pub admitted: u64,
-    /// Queries completed by workers (admission accounting).
-    pub completed: u64,
-    /// Sheds because the queue was at capacity.
-    pub shed_queue_full: u64,
-    /// Sheds because the daemon was draining.
-    pub shed_draining: u64,
-    /// Sheds because the connection hit its in-flight cap.
+    /// One probe-consistent admission read: load, completions (= served),
+    /// sheds by queue reason, drain state, pool size and the EWMA.
+    pub admission: AdmissionSnapshot,
+    /// Sheds because the connection hit its in-flight cap (decided by
+    /// the reader before admission).
     pub shed_inflight_cap: u64,
     /// Slow-query-log lines written.
     pub slow_queries: u64,
-    /// Current admission-queue backlog.
-    pub queue_depth: u64,
-    /// Workers currently holding at least one claimed job.
-    pub busy_workers: u64,
-    /// Jobs claimed by workers but not yet completed. With batched
-    /// drains a busy worker may hold several, so `queue_depth +
-    /// in_service` (not `+ busy_workers`) is the true count of
-    /// admitted-but-unfinished work.
-    pub in_service: u64,
-    /// Worker-pool size.
-    pub workers: u64,
-    /// `1` while draining, else `0`.
-    pub draining: u64,
-    /// Solve-cache hits.
-    pub cache_hits: u64,
-    /// Solve-cache misses.
-    pub cache_misses: u64,
-    /// Solve-cache evictions.
-    pub cache_evictions: u64,
+    /// Solve-cache counters.
+    pub cache: CacheStats,
     /// Reports currently resident in the solve cache.
     pub cache_reports: u64,
-    /// WAL records appended by this process.
-    pub wal_appends: u64,
-    /// WAL bytes appended by this process.
-    pub wal_bytes: u64,
-    /// Disk syncs issued by this process.
-    pub wal_fsyncs: u64,
-    /// EWMA of per-query service time in ns (prices `retry_after_ms`).
-    pub ewma_service_ns: u64,
-    /// Worker wakeups that drained more than one job.
-    pub batch_drains: u64,
-    /// High-water mark of jobs drained in a single worker wakeup.
-    pub batch_width_max: u64,
-    /// Points handed to the batch presolve planner.
-    pub batch_presolved: u64,
-    /// Presolved points deduplicated against an identical report key in
-    /// the same drain (or whose report or solution was already cached).
-    pub batch_dedup_hits: u64,
-    /// Distinct uncached chains the presolve planned.
-    pub batch_unique: u64,
-    /// Chains solved inside batched (≥ 2 lane) groups.
-    pub batch_batched: u64,
-    /// Chains whose shape group degenerated to a scalar solve.
-    pub batch_scalar: u64,
-    /// Solutions seeded into the shared cache by presolves.
-    pub batch_seeded: u64,
-    /// Jobs excluded from a presolve because their deadline had already
-    /// expired at drain time.
-    pub batch_skipped_deadline: u64,
-    /// Points excluded from a presolve because the armed fault plan
-    /// targets their scope.
-    pub batch_skipped_fault: u64,
+    /// WAL counters of this process (zeros when memory-only).
+    pub wal: WalStats,
+    /// Micro-batch counters.
+    pub batch: BatchCounts,
 }
 
 impl NativeMetrics {
@@ -116,52 +105,79 @@ impl NativeMetrics {
         let gauge = |s: &mut String, name: &str, v: u64| {
             let _ = writeln!(s, "# TYPE {name} gauge\n{name} {v}");
         };
-        counter(&mut s, "svc_served_total", self.served);
-        counter(&mut s, "svc_admitted_total", self.admitted);
-        counter(&mut s, "svc_completed_total", self.completed);
-        let _ = writeln!(s, "# TYPE svc_shed_total counter");
-        let _ = writeln!(s, "svc_shed_total{{reason=\"queue_full\"}} {}", self.shed_queue_full);
-        let _ = writeln!(s, "svc_shed_total{{reason=\"draining\"}} {}", self.shed_draining);
-        let _ = writeln!(s, "svc_shed_total{{reason=\"inflight_cap\"}} {}", self.shed_inflight_cap);
+        let labeled = |s: &mut String, name: &str, pairs: &[(&str, u64)]| {
+            let _ = writeln!(s, "# TYPE {name} counter");
+            for (reason, v) in pairs {
+                let _ = writeln!(s, "{name}{{reason=\"{reason}\"}} {v}");
+            }
+        };
+        let (adm, b) = (&self.admission, &self.batch);
+        counter(&mut s, "svc_served_total", adm.completed);
+        counter(&mut s, "svc_admitted_total", adm.admitted);
+        counter(&mut s, "svc_completed_total", adm.completed);
+        labeled(
+            &mut s,
+            "svc_shed_total",
+            &[
+                ("queue_full", adm.shed_queue_full),
+                ("draining", adm.shed_draining),
+                ("inflight_cap", self.shed_inflight_cap),
+            ],
+        );
         counter(&mut s, "svc_slow_queries_total", self.slow_queries);
-        counter(&mut s, "svc_cache_hits_total", self.cache_hits);
-        counter(&mut s, "svc_cache_misses_total", self.cache_misses);
-        counter(&mut s, "svc_cache_evictions_total", self.cache_evictions);
-        counter(&mut s, "svc_wal_appends_total", self.wal_appends);
-        counter(&mut s, "svc_wal_bytes_total", self.wal_bytes);
-        counter(&mut s, "svc_wal_fsyncs_total", self.wal_fsyncs);
-        counter(&mut s, "svc_batch_drains_total", self.batch_drains);
-        counter(&mut s, "svc_batch_presolved_total", self.batch_presolved);
-        counter(&mut s, "svc_batch_dedup_hits_total", self.batch_dedup_hits);
-        counter(&mut s, "svc_batch_unique_total", self.batch_unique);
-        counter(&mut s, "svc_batch_batched_total", self.batch_batched);
-        counter(&mut s, "svc_batch_scalar_total", self.batch_scalar);
-        counter(&mut s, "svc_batch_seeded_total", self.batch_seeded);
-        let _ = writeln!(s, "# TYPE svc_batch_skipped_total counter");
-        let _ = writeln!(
-            s,
-            "svc_batch_skipped_total{{reason=\"deadline\"}} {}",
-            self.batch_skipped_deadline
+        counter(&mut s, "svc_cache_hits_total", self.cache.hits);
+        counter(&mut s, "svc_cache_misses_total", self.cache.misses);
+        counter(&mut s, "svc_cache_evictions_total", self.cache.evictions);
+        counter(&mut s, "svc_wal_appends_total", self.wal.appends);
+        counter(&mut s, "svc_wal_bytes_total", self.wal.bytes);
+        counter(&mut s, "svc_wal_fsyncs_total", self.wal.fsyncs);
+        counter(&mut s, "svc_batch_drains_total", b.drains);
+        counter(&mut s, "svc_batch_presolved_total", b.presolved);
+        counter(&mut s, "svc_batch_dedup_hits_total", b.presolved.saturating_sub(b.unique));
+        counter(&mut s, "svc_batch_unique_total", b.unique);
+        counter(&mut s, "svc_batch_batched_total", b.batched);
+        counter(&mut s, "svc_batch_scalar_total", b.scalar);
+        counter(&mut s, "svc_batch_seeded_total", b.seeded);
+        labeled(
+            &mut s,
+            "svc_batch_skipped_total",
+            &[("deadline", b.skipped_deadline), ("fault", b.skipped_fault)],
         );
-        let _ = writeln!(
-            s,
-            "svc_batch_skipped_total{{reason=\"fault\"}} {}",
-            self.batch_skipped_fault
-        );
-        gauge(&mut s, "svc_queue_depth", self.queue_depth);
-        gauge(&mut s, "svc_busy_workers", self.busy_workers);
-        gauge(&mut s, "svc_in_service", self.in_service);
+        gauge(&mut s, "svc_queue_depth", adm.depth);
+        gauge(&mut s, "svc_busy_workers", adm.busy_workers);
+        gauge(&mut s, "svc_in_service", adm.in_service);
         // Admitted-but-unfinished work. A batching worker can hold
         // several in-service jobs, so this sums jobs, not workers.
-        gauge(&mut s, "svc_inflight", self.queue_depth + self.in_service);
+        gauge(&mut s, "svc_inflight", adm.depth + adm.in_service);
         // High-water mark, not a live value: a single post-burst scrape
         // can tell whether any wakeup ever coalesced multiple queries.
-        gauge(&mut s, "svc_batch_width", self.batch_width_max);
-        gauge(&mut s, "svc_workers", self.workers);
-        gauge(&mut s, "svc_draining", self.draining);
+        gauge(&mut s, "svc_batch_width", b.width_max);
+        gauge(&mut s, "svc_workers", adm.workers);
+        gauge(&mut s, "svc_draining", u64::from(!adm.open));
         gauge(&mut s, "svc_cache_reports", self.cache_reports);
-        gauge(&mut s, "svc_ewma_service_ns", self.ewma_service_ns);
+        gauge(&mut s, "svc_ewma_service_ns", adm.ewma_service_ns);
         s
+    }
+
+    /// The `/healthz` body: is this instance accepting, and how loaded is
+    /// it right now. The load figures come from the probe-consistent
+    /// admission read, so `queue_depth + in_service >= admitted -
+    /// completed` holds in every body.
+    pub fn healthz_json(&self) -> String {
+        let adm = &self.admission;
+        format!(
+            "{{\"ok\": true, \"accepting\": {}, \"draining\": {}, \"queue_depth\": {}, \"busy_workers\": {}, \"in_service\": {}, \"inflight\": {}, \"admitted\": {}, \"completed\": {}, \"workers\": {}, \"served\": {}}}",
+            adm.open,
+            !adm.open,
+            adm.depth,
+            adm.busy_workers,
+            adm.in_service,
+            adm.depth + adm.in_service,
+            adm.admitted,
+            adm.completed,
+            adm.workers,
+            adm.completed,
+        )
     }
 }
 
@@ -253,40 +269,132 @@ mod tests {
     use super::*;
     use cyclesteal_obs::prom::{check_exposition, parse_exposition};
 
+    /// Every native series in render order: name, labels, `# TYPE`.
+    /// Operators' dashboards key on these, so a restructure must not
+    /// rename, relabel, retype, reorder or drop one.
+    const SERIES: &[(&str, &str, &str)] = &[
+        ("svc_served_total", "", "counter"),
+        ("svc_admitted_total", "", "counter"),
+        ("svc_completed_total", "", "counter"),
+        ("svc_shed_total", "queue_full", "counter"),
+        ("svc_shed_total", "draining", "counter"),
+        ("svc_shed_total", "inflight_cap", "counter"),
+        ("svc_slow_queries_total", "", "counter"),
+        ("svc_cache_hits_total", "", "counter"),
+        ("svc_cache_misses_total", "", "counter"),
+        ("svc_cache_evictions_total", "", "counter"),
+        ("svc_wal_appends_total", "", "counter"),
+        ("svc_wal_bytes_total", "", "counter"),
+        ("svc_wal_fsyncs_total", "", "counter"),
+        ("svc_batch_drains_total", "", "counter"),
+        ("svc_batch_presolved_total", "", "counter"),
+        ("svc_batch_dedup_hits_total", "", "counter"),
+        ("svc_batch_unique_total", "", "counter"),
+        ("svc_batch_batched_total", "", "counter"),
+        ("svc_batch_scalar_total", "", "counter"),
+        ("svc_batch_seeded_total", "", "counter"),
+        ("svc_batch_skipped_total", "deadline", "counter"),
+        ("svc_batch_skipped_total", "fault", "counter"),
+        ("svc_queue_depth", "", "gauge"),
+        ("svc_busy_workers", "", "gauge"),
+        ("svc_in_service", "", "gauge"),
+        ("svc_inflight", "", "gauge"),
+        ("svc_batch_width", "", "gauge"),
+        ("svc_workers", "", "gauge"),
+        ("svc_draining", "", "gauge"),
+        ("svc_cache_reports", "", "gauge"),
+        ("svc_ewma_service_ns", "", "gauge"),
+    ];
+
     #[test]
-    fn native_render_is_valid_exposition_with_all_series() {
-        let m = NativeMetrics {
-            served: 10,
-            shed_queue_full: 3,
-            queue_depth: 2,
-            busy_workers: 1,
-            in_service: 4,
-            batch_width_max: 7,
-            batch_skipped_deadline: 5,
-            ..NativeMetrics::default()
-        };
-        let text = m.render();
-        let n = check_exposition(&text).expect("native series must be valid");
-        assert!(n >= 30, "expected every native series, got {n}");
-        let series = parse_exposition(&text).unwrap();
-        let shed = series
+    fn native_series_list_is_pinned() {
+        let text = NativeMetrics::default().render();
+        check_exposition(&text).expect("native series must be valid");
+        let mut got = Vec::new();
+        let mut kind = "";
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                kind = rest.rsplit(' ').next().unwrap();
+                continue;
+            }
+            let (series, _value) = line.rsplit_once(' ').unwrap();
+            let (name, reason) = match series.split_once("{reason=\"") {
+                Some((n, r)) => (n, r.trim_end_matches("\"}")),
+                None => (series, ""),
+            };
+            got.push((name.to_string(), reason.to_string(), kind.to_string()));
+        }
+        let want: Vec<_> = SERIES
             .iter()
-            .find(|s| s.name == "svc_shed_total" && s.label("reason") == Some("queue_full"))
-            .unwrap();
-        assert_eq!(shed.value, 3.0);
-        // A batching worker can hold several jobs, so the inflight gauge
-        // sums jobs (depth + in_service), never workers.
-        let inflight = series.iter().find(|s| s.name == "svc_inflight").unwrap();
-        assert_eq!(inflight.value, 6.0, "queue_depth + in_service");
-        let width = series.iter().find(|s| s.name == "svc_batch_width").unwrap();
-        assert_eq!(width.value, 7.0, "drain-width high-water mark");
-        let skipped = series
-            .iter()
-            .find(|s| s.name == "svc_batch_skipped_total" && s.label("reason") == Some("deadline"))
-            .unwrap();
-        assert_eq!(skipped.value, 5.0);
+            .map(|&(n, r, k)| (n.to_string(), r.to_string(), k.to_string()))
+            .collect();
+        assert_eq!(got, want);
     }
 
+    #[test]
+    fn native_values_come_from_their_one_source() {
+        let m = NativeMetrics {
+            admission: AdmissionSnapshot {
+                admitted: 12,
+                completed: 10,
+                depth: 2,
+                busy_workers: 1,
+                in_service: 4,
+                shed_queue_full: 3,
+                shed_draining: 2,
+                open: false,
+                ..AdmissionSnapshot::default()
+            },
+            batch: BatchCounts {
+                width_max: 7,
+                presolved: 9,
+                unique: 4,
+                skipped_deadline: 5,
+                ..BatchCounts::default()
+            },
+            ..NativeMetrics::default()
+        };
+        let series = parse_exposition(&m.render()).unwrap();
+        let value = |name: &str, reason: Option<&str>| {
+            series
+                .iter()
+                .find(|s| s.name == name && s.label("reason") == reason)
+                .unwrap_or_else(|| panic!("missing {name} {reason:?}"))
+                .value
+        };
+        // Every dequeued job is served, then completed: one count.
+        assert_eq!(value("svc_served_total", None), 10.0);
+        assert_eq!(value("svc_completed_total", None), 10.0);
+        assert_eq!(value("svc_shed_total", Some("queue_full")), 3.0);
+        assert_eq!(value("svc_shed_total", Some("draining")), 2.0);
+        // A batching worker can hold several jobs, so the inflight gauge
+        // sums jobs (depth + in_service), never workers.
+        assert_eq!(value("svc_inflight", None), 6.0, "queue_depth + in_service");
+        assert_eq!(
+            value("svc_batch_width", None),
+            7.0,
+            "drain-width high-water mark"
+        );
+        assert_eq!(
+            value("svc_batch_dedup_hits_total", None),
+            5.0,
+            "presolved - unique"
+        );
+        assert_eq!(value("svc_batch_skipped_total", Some("deadline")), 5.0);
+        assert_eq!(
+            value("svc_draining", None),
+            1.0,
+            "closed admission is draining"
+        );
+
+        let health = m.healthz_json();
+        assert_eq!(
+            health,
+            "{\"ok\": true, \"accepting\": false, \"draining\": true, \"queue_depth\": 2, \
+             \"busy_workers\": 1, \"in_service\": 4, \"inflight\": 6, \"admitted\": 12, \
+             \"completed\": 10, \"workers\": 0, \"served\": 10}"
+        );
+    }
     #[test]
     fn obs_section_is_appended_verbatim() {
         let snap = ObsSnapshot {
@@ -300,16 +408,17 @@ mod tests {
 
     #[test]
     fn native_and_obs_names_never_collide() {
-        // The obs registry's labeled admission counters deliberately
-        // render under svc_admission_shed_total, not svc_shed_total.
+        // The svc counters the obs registry still keeps have no native
+        // twin, so their rendered names never shadow a native series.
         let snap = ObsSnapshot {
             counters: vec![
-                ("svc.admission.shed|reason=queue_full".to_string(), 1),
-                ("svc.admission.shed|reason=draining".to_string(), 1),
-                ("svc.admission.shed|reason=inflight_cap".to_string(), 1),
-                ("svc.admission.admitted".to_string(), 1),
-                ("svc.query.served".to_string(), 1),
-                ("svc.wal.append".to_string(), 1),
+                ("svc.conn.accepted".to_string(), 1),
+                ("svc.drain.completed".to_string(), 1),
+                ("svc.drain.requested".to_string(), 1),
+                ("svc.wal.append_failed".to_string(), 1),
+                ("svc.wal.compact".to_string(), 1),
+                ("svc.wal.snapshot_rejected".to_string(), 1),
+                ("svc.wal.truncated".to_string(), 1),
             ],
             ..ObsSnapshot::default()
         };

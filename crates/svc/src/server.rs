@@ -56,7 +56,7 @@ use cyclesteal_sweep::{presolve_points, run_query, Evaluator, LongLaw, Point, Qu
 
 use crate::admission::{AdmitError, Admission};
 use crate::json::{self, Value};
-use crate::metrics::{self, NativeMetrics};
+use crate::metrics::{self, BatchCounts, NativeMetrics};
 use crate::proto;
 use crate::wal::{DurableCache, RecoveryReport};
 
@@ -185,19 +185,18 @@ struct Job {
 
 struct Shared {
     cache: SolveCache,
+    /// Owns the admit/shed/complete counts and the one drain state (its
+    /// `open` flag).
     admission: Admission<Job>,
     durable: Option<DurableCache>,
     recovery: RecoveryReport,
-    draining: AtomicBool,
-    served: AtomicU64,
     slow_ms: u64,
     default_budget_ns: Option<u64>,
-    /// Worker-pool size, for `/healthz` and `svc_workers`.
-    workers: usize,
     /// Micro-batch drain width (1 = scalar serving).
     batch_max: usize,
-    /// Native accounting of the micro-batching plane.
-    batch: BatchCounters,
+    /// Native accounting of the micro-batching plane, updated once or
+    /// twice per multi-job wakeup.
+    batch: Mutex<BatchCounts>,
     /// Per-connection-cap sheds (admission only counts its own reasons).
     shed_inflight_cap: AtomicU64,
     /// Open handle on `slow_queries.jsonl` (serialized line appends).
@@ -208,37 +207,6 @@ struct Shared {
     slow_logged: AtomicU64,
     /// Tells the metrics and obs-flush threads to exit.
     stop: AtomicBool,
-}
-
-/// Native counters for the serving-side micro-batch plane (the
-/// `svc_batch_*` series). Like the rest of [`NativeMetrics`]'s sources,
-/// plain atomics so `/metrics` answers even without the `obs` feature.
-#[derive(Default)]
-struct BatchCounters {
-    /// Worker wakeups that drained more than one job.
-    drains: AtomicU64,
-    /// Most jobs ever drained in one worker wakeup.
-    width_max: AtomicU64,
-    /// Jobs whose points entered a batch presolve.
-    presolved: AtomicU64,
-    /// Presolved points that needed no new solve: duplicate report key
-    /// within the batch, report or solution already cached, or not
-    /// plannable.
-    dedup_hits: AtomicU64,
-    /// Distinct uncached chains the presolve actually solved.
-    unique: AtomicU64,
-    /// Chains solved inside >= 2-lane batched groups.
-    batched: AtomicU64,
-    /// Chains whose shape group degenerated to a scalar solve.
-    scalar: AtomicU64,
-    /// Solutions seeded into the shared cache, one per report key.
-    seeded: AtomicU64,
-    /// Jobs excluded from presolve because their deadline had already
-    /// expired at drain time (they still time out with `stage:
-    /// "admission"`, spending no solver work).
-    skipped_deadline: AtomicU64,
-    /// Points excluded because the armed fault plan targets their scope.
-    skipped_fault: AtomicU64,
 }
 
 impl Shared {
@@ -258,47 +226,30 @@ impl Shared {
         }
     }
 
-    /// Collects every natively-maintained metric for one scrape.
+    /// Collects every natively-maintained metric, once per scrape, probe
+    /// or `stats` command.
     fn native_metrics(&self) -> NativeMetrics {
-        let cache = self.cache.stats();
-        // One probe-consistent admission read: the snapshot's internal
-        // ordering guarantees `queue_depth + in_service` never undercounts
-        // admitted-but-unfinished work, whatever the workers are doing.
-        let adm = self.admission.snapshot();
-        let (shed_queue_full, shed_draining) = self.admission.shed_reasons();
-        let wal = self.durable.as_ref().map(DurableCache::stats).unwrap_or_default();
-        let batch = &self.batch;
         NativeMetrics {
-            served: self.served.load(Ordering::Relaxed),
-            admitted: adm.admitted,
-            completed: adm.completed,
-            shed_queue_full,
-            shed_draining,
+            admission: self.admission.snapshot(),
             shed_inflight_cap: self.shed_inflight_cap.load(Ordering::Relaxed),
             slow_queries: self.slow_logged.load(Ordering::Relaxed),
-            queue_depth: adm.depth,
-            busy_workers: adm.busy_workers,
-            in_service: adm.in_service,
-            workers: self.workers as u64,
-            draining: u64::from(self.draining.load(Ordering::SeqCst)),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
+            cache: self.cache.stats(),
             cache_reports: self.cache.report_len() as u64,
-            wal_appends: wal.appends,
-            wal_bytes: wal.bytes,
-            wal_fsyncs: wal.fsyncs,
-            ewma_service_ns: self.admission.ewma_ns(),
-            batch_drains: batch.drains.load(Ordering::Relaxed),
-            batch_width_max: batch.width_max.load(Ordering::Relaxed),
-            batch_presolved: batch.presolved.load(Ordering::Relaxed),
-            batch_dedup_hits: batch.dedup_hits.load(Ordering::Relaxed),
-            batch_unique: batch.unique.load(Ordering::Relaxed),
-            batch_batched: batch.batched.load(Ordering::Relaxed),
-            batch_scalar: batch.scalar.load(Ordering::Relaxed),
-            batch_seeded: batch.seeded.load(Ordering::Relaxed),
-            batch_skipped_deadline: batch.skipped_deadline.load(Ordering::Relaxed),
-            batch_skipped_fault: batch.skipped_fault.load(Ordering::Relaxed),
+            wal: self
+                .durable
+                .as_ref()
+                .map(DurableCache::stats)
+                .unwrap_or_default(),
+            batch: *lock(&self.batch),
+        }
+    }
+
+    /// The one drain entry — [`Server::drain`], the client `drain` frame
+    /// and `SIGTERM` all land here: admission stops at once and the
+    /// request is counted only by the call that closed the queue.
+    fn drain(&self) {
+        if self.admission.close() {
+            cyclesteal_obs::counter!("svc.drain.requested");
         }
     }
 
@@ -347,7 +298,6 @@ impl Shared {
         let mut f = lock(file);
         if writeln!(f, "{line}").is_ok() {
             self.slow_logged.fetch_add(1, Ordering::Relaxed);
-            cyclesteal_obs::counter!("svc.slow_log.records");
         }
     }
 }
@@ -355,8 +305,9 @@ impl Shared {
 /// What the drain left behind, returned by [`Server::join`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainReport {
-    /// Queries evaluated and answered over the server's lifetime (shed
-    /// rejections are not counted here).
+    /// Queries evaluated and answered over the server's lifetime:
+    /// admission's `completed` count (shed rejections are not counted
+    /// here).
     pub served: u64,
     /// Entries written to the final snapshot (`0` when memory-only).
     pub compacted_entries: usize,
@@ -431,13 +382,10 @@ impl Server {
             admission: Admission::new(config.queue_capacity, config.workers),
             durable,
             recovery,
-            draining: AtomicBool::new(false),
-            served: AtomicU64::new(0),
             slow_ms: config.slow_ms,
             default_budget_ns: config.default_budget_ns,
-            workers: config.workers.max(1),
             batch_max: config.batch_max.max(1),
-            batch: BatchCounters::default(),
+            batch: Mutex::default(),
             shed_inflight_cap: AtomicU64::new(0),
             slow_log,
             slow_log_ms: config.slow_log_ms,
@@ -526,10 +474,7 @@ impl Server {
     /// Requests a graceful drain (same effect as `SIGTERM`): admission
     /// stops immediately; [`Server::join`] completes the shutdown.
     pub fn drain(&self) {
-        if !self.shared.draining.swap(true, Ordering::SeqCst) {
-            cyclesteal_obs::counter!("svc.drain.requested");
-        }
-        self.shared.admission.close();
+        self.shared.drain();
     }
 
     /// Blocks until drain is requested (via [`Server::drain`], a client
@@ -544,10 +489,9 @@ impl Server {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        // The accept loop exits only when draining (or SIGTERM, which it
-        // promotes to draining); make sure admission is closed even if
-        // drain() was never called explicitly.
-        self.shared.admission.close();
+        // The accept loop exits only once admission is closed; close it
+        // here too in case that thread died some other way.
+        self.shared.drain();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -577,7 +521,7 @@ impl Server {
         cyclesteal_obs::counter!("svc.drain.completed");
         cyclesteal_obs::flush_thread();
         Ok(DrainReport {
-            served: self.shared.served.load(Ordering::Relaxed),
+            served: self.shared.admission.snapshot().completed,
             compacted_entries: compacted,
         })
     }
@@ -591,11 +535,9 @@ fn accept_loop(
 ) {
     loop {
         if sigterm_received() {
-            // Promote the signal to a drain so readers shed new queries.
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.admission.close();
+            shared.drain();
         }
-        if shared.draining.load(Ordering::SeqCst) {
+        if !shared.admission.snapshot().open {
             return;
         }
         match listener.accept() {
@@ -696,14 +638,12 @@ fn handle_frame(
         "ping" => Some("{\"ok\": true, \"pong\": true}".to_string()),
         "stats" => Some(stats_response(shared)),
         "drain" => {
-            // Ack *before* arming the drain: the moment `draining` is
-            // set, [`Server::join`] races this reader to `shutdown()`
+            // Ack *before* arming the drain: the moment admission
+            // closes, [`Server::join`] races this reader to `shutdown()`
             // the socket, and the requester must not lose its
             // acknowledgement to that race.
             conn.send("{\"ok\": true, \"draining\": true}");
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.admission.close();
-            cyclesteal_obs::counter!("svc.drain.requested");
+            shared.drain();
             None
         }
         "query" => admit_query(&doc, conn, shared, per_conn_inflight),
@@ -725,16 +665,12 @@ fn admit_query(
         Ok(p) => p,
         Err(reason) => return Some(error_response("bad_request", &reason)),
     };
-    if shared.draining.load(Ordering::SeqCst) {
-        return Some(shed_response("draining", None));
-    }
     // Per-client in-flight cap, taken optimistically and released on any
     // rejection path below (or by the worker after responding).
     let prev = conn.inflight.fetch_add(1, Ordering::SeqCst);
     if prev >= per_conn_inflight {
         conn.inflight.fetch_sub(1, Ordering::SeqCst);
         shared.shed_inflight_cap.fetch_add(1, Ordering::Relaxed);
-        cyclesteal_obs::counter!("svc.admission.shed|reason=inflight_cap");
         return Some(shed_response("inflight_cap", None));
     }
     let budget_ns = doc
@@ -792,8 +728,6 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// batched solver's per-lane contract), so responses cannot change; only
 /// the shared factorization work does.
 fn presolve_batch(shared: &Arc<Shared>, jobs: &[Job], clock: &MonotonicClock) {
-    shared.batch.drains.fetch_add(1, Ordering::Relaxed);
-    shared.batch.width_max.fetch_max(jobs.len() as u64, Ordering::Relaxed);
     let now = clock.now_ns();
     // A job whose budget already expired in the queue must spend no
     // solver work: exclude it here; its own run_query below attributes
@@ -807,12 +741,11 @@ fn presolve_batch(shared: &Arc<Shared>, jobs: &[Job], clock: &MonotonicClock) {
         })
         .map(|job| job.point)
         .collect();
-    let expired = (jobs.len() - points.len()) as u64;
-    if expired > 0 {
-        shared
-            .batch
-            .skipped_deadline
-            .fetch_add(expired, Ordering::Relaxed);
+    {
+        let mut batch = lock(&shared.batch);
+        batch.drains += 1;
+        batch.width_max = batch.width_max.max(jobs.len() as u64);
+        batch.skipped_deadline += (jobs.len() - points.len()) as u64;
     }
     if points.len() < 2 {
         return; // nothing left to coalesce; the scalar path is optimal
@@ -824,18 +757,13 @@ fn presolve_batch(shared: &Arc<Shared>, jobs: &[Job], clock: &MonotonicClock) {
         // masked by the shared cache.
         presolve_points(&points, &shared.cache)
     };
-    let batch = &shared.batch;
-    batch.presolved.fetch_add(points.len() as u64, Ordering::Relaxed);
-    batch
-        .dedup_hits
-        .fetch_add((points.len() - stats.unique) as u64, Ordering::Relaxed);
-    batch.unique.fetch_add(stats.unique as u64, Ordering::Relaxed);
-    batch.batched.fetch_add(stats.batched as u64, Ordering::Relaxed);
-    batch.scalar.fetch_add(stats.scalar as u64, Ordering::Relaxed);
-    batch.seeded.fetch_add(stats.seeded as u64, Ordering::Relaxed);
-    batch
-        .skipped_fault
-        .fetch_add(stats.skipped_faulted as u64, Ordering::Relaxed);
+    let mut batch = lock(&shared.batch);
+    batch.presolved += points.len() as u64;
+    batch.unique += stats.unique as u64;
+    batch.batched += stats.batched as u64;
+    batch.scalar += stats.scalar as u64;
+    batch.seeded += stats.seeded as u64;
+    batch.skipped_fault += stats.skipped_faulted as u64;
 }
 
 /// Evaluates and answers one admitted query — the scalar serving path,
@@ -879,7 +807,6 @@ fn serve_query(shared: &Arc<Shared>, job: Job, clock: &MonotonicClock) {
             budget.saturating_sub(t1.saturating_sub(job.admitted_ns)) / 1_000
         );
     }
-    cyclesteal_obs::counter!("svc.query.served");
     shared.persist_new_reports();
     shared.maybe_slow_log(&job, &outcome, t0, t1, &trace);
     // Flush before the response frame: once the client has its
@@ -887,9 +814,8 @@ fn serve_query(shared: &Arc<Shared>, job: Job, clock: &MonotonicClock) {
     cyclesteal_obs::flush_thread();
     job.conn.send(&query_response(&outcome));
     job.conn.inflight.fetch_sub(1, Ordering::SeqCst);
-    shared.served.fetch_add(1, Ordering::Relaxed);
-    // Also drops the job's in-service claim (after `completed` is
-    // counted, so probes never undercount).
+    // Counts the query served (`completed`), then drops its in-service
+    // claim, so probes never undercount.
     shared.admission.record_service_ns(t1.saturating_sub(t0));
 }
 
@@ -1014,20 +940,19 @@ fn error_response(error: &str, detail: &str) -> String {
 }
 
 fn stats_response(shared: &Arc<Shared>) -> String {
-    let cache = shared.cache.stats();
-    let (admitted, shed, completed) = shared.admission.counts();
-    let rec = shared.recovery;
+    let m = shared.native_metrics();
+    let (adm, cache, rec) = (&m.admission, &m.cache, shared.recovery);
     format!(
         "{{\"ok\": true, \"stats\": {{\"served\": {}, \"queue_depth\": {}, \"admitted\": {}, \"shed\": {}, \"completed\": {}, \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"reports\": {}}}, \"recovery\": {{\"snapshot_entries\": {}, \"wal_entries\": {}, \"wal_truncated\": {}, \"snapshot_rejected\": {}}}}}}}",
-        shared.served.load(Ordering::Relaxed),
-        shared.admission.depth(),
-        admitted,
-        shed,
-        completed,
+        adm.completed,
+        adm.depth,
+        adm.admitted,
+        adm.shed(),
+        adm.completed,
         cache.hits,
         cache.misses,
         cache.evictions,
-        shared.cache.report_len(),
+        m.cache_reports,
         rec.snapshot_entries,
         rec.wal_entries,
         rec.wal_truncated_to.is_some(),
@@ -1074,13 +999,12 @@ fn serve_metrics_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
     };
     let result = match path.as_str() {
         "/metrics" => {
-            let native = shared.native_metrics();
             let obs = cyclesteal_obs::snapshot_if_active();
-            let body = metrics::render(&native, obs.as_ref());
+            let body = metrics::render(&shared.native_metrics(), obs.as_ref());
             metrics::write_http_response(&mut stream, "200 OK", metrics::METRICS_CONTENT_TYPE, &body)
         }
         "/healthz" => {
-            let body = healthz_response(shared);
+            let body = shared.native_metrics().healthz_json();
             metrics::write_http_response(&mut stream, "200 OK", "application/json", &body)
         }
         other => metrics::write_http_response(
@@ -1093,31 +1017,6 @@ fn serve_metrics_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
     if let Err(e) = result {
         eprintln!("svc: metrics response failed: {e}");
     }
-}
-
-/// Admission-state summary for load balancers and probes: is this
-/// instance accepting, and how loaded is it right now.
-///
-/// The load figures come from one probe-consistent
-/// [`Admission::snapshot`], whose write/read ordering guarantees
-/// `queue_depth + in_service >= admitted - completed` — a worker claims
-/// work *inside* the dequeue critical section, so a popped-but-unstarted
-/// job can never make a probe report the instance idler than it is.
-fn healthz_response(shared: &Arc<Shared>) -> String {
-    let draining = shared.draining.load(Ordering::SeqCst);
-    let adm = shared.admission.snapshot();
-    format!(
-        "{{\"ok\": true, \"accepting\": {}, \"draining\": {draining}, \"queue_depth\": {}, \"busy_workers\": {}, \"in_service\": {}, \"inflight\": {}, \"admitted\": {}, \"completed\": {}, \"workers\": {}, \"served\": {}}}",
-        !draining,
-        adm.depth,
-        adm.busy_workers,
-        adm.in_service,
-        adm.depth + adm.in_service,
-        adm.admitted,
-        adm.completed,
-        shared.workers,
-        shared.served.load(Ordering::Relaxed),
-    )
 }
 
 /// Writes the current obs snapshot to `obs_snapshot.json` in `dir` via a

@@ -405,14 +405,7 @@ impl DurableCache {
         wal.appends += 1;
         wal.bytes += rec.len() as u64;
         wal.fsyncs += 1;
-        cyclesteal_obs::counter!("svc.wal.append");
         Ok(())
-    }
-
-    /// Number of records appended through this handle (excludes recovered
-    /// history).
-    pub fn appends(&self) -> u64 {
-        lock(&self.wal).appends
     }
 
     /// Write-side counters of this handle (appends, bytes, fsyncs).

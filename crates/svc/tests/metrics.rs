@@ -1,7 +1,8 @@
 //! End-to-end telemetry tests over real HTTP: `/healthz` state
-//! transitions, scrape validity against observed traffic, counter
-//! monotonicity, the registry bit-match contract, the slow-query log,
-//! and the periodic obs-snapshot flush.
+//! transitions, scrape validity against observed traffic (queue-full and
+//! draining sheds), one series per serving count, counter monotonicity,
+//! the registry bit-match contract, the slow-query log, and the periodic
+//! obs-snapshot flush.
 
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -154,6 +155,126 @@ fn scrape_matches_the_overload_the_client_observed() {
     assert_eq!(series_value(&parsed, "svc_workers", &[]), Some(1.0));
     server.drain();
     server.join().expect("join");
+}
+
+fn stats_shed(client: &mut Client) -> u64 {
+    client
+        .stats()
+        .expect("stats")
+        .get("stats")
+        .and_then(|s| s.get("shed"))
+        .and_then(Value::as_u64)
+        .expect("stats.shed")
+}
+
+/// Every query a draining daemon turns away is counted where the client
+/// saw it: under `svc_shed_total{reason="draining"}` and in `stats.shed`.
+/// (Regression: the reader used to shed on its own copy of the drain
+/// state, so these sheds reached clients but no counter.)
+#[test]
+fn draining_sheds_are_counted_once_in_scrape_and_stats() {
+    let server = Server::start(telemetry_config()).expect("start");
+    let mut client = connect(&server);
+    let shed_before = stats_shed(&mut client);
+    let resp = client.drain().expect("drain");
+    assert_eq!(resp.get("draining").and_then(Value::as_bool), Some(true));
+
+    const N: u64 = 5;
+    for i in 0..N {
+        let v = client
+            .call(
+                &QueryRequest {
+                    rho_s: 1.0 + 0.01 * i as f64,
+                    ..QueryRequest::default()
+                }
+                .to_json(),
+            )
+            .expect("post-drain query");
+        assert_eq!(v.get("reason").and_then(Value::as_str), Some("draining"));
+    }
+
+    let parsed = prom::parse_exposition(&scrape(&server)).expect("scrape");
+    assert_eq!(
+        series_value(&parsed, "svc_shed_total", &[("reason", "draining")]),
+        Some(N as f64),
+        "scrape must count every draining shed the client saw"
+    );
+    assert_eq!(series_value(&parsed, "svc_draining", &[]), Some(1.0));
+    assert_eq!(stats_shed(&mut client), shed_before + N);
+    server.join().expect("join");
+}
+
+/// With the registry recording, a live scrape still carries exactly one
+/// series per serving count: the native one. The obs registry keeps no
+/// twin of admits, sheds, serves, WAL appends or slow-log lines.
+#[test]
+fn scrape_has_one_series_per_serving_count() {
+    if !cyclesteal_obs::compiled() {
+        return; // without the registry there is nothing to duplicate
+    }
+    let session = cyclesteal_obs::Session::start();
+    let dir = tmp_dir("onecount");
+    let server = Server::start(ServerConfig {
+        data_dir: Some(dir.clone()),
+        slow_log_ms: Some(0),
+        ..telemetry_config()
+    })
+    .expect("start");
+    let mut client = connect(&server);
+    client
+        .query(&QueryRequest {
+            rho_s: 1.1,
+            ..QueryRequest::default()
+        })
+        .expect("query");
+    client.drain().expect("drain");
+    let v = client
+        .call(&QueryRequest::default().to_json())
+        .expect("post-drain query");
+    assert_eq!(v.get("reason").and_then(Value::as_str), Some("draining"));
+
+    let body = scrape(&server);
+    let parsed = prom::parse_exposition(&body).expect("scrape");
+    assert!(
+        parsed.iter().any(|s| s.name == "obs_span_total"),
+        "the obs registry section must be present"
+    );
+    for s in &parsed {
+        assert!(
+            !s.name.starts_with("svc_admission_")
+                && !matches!(
+                    s.name.as_str(),
+                    "svc_query_served_total"
+                        | "svc_wal_append_total"
+                        | "svc_slow_log_records_total"
+                ),
+            "obs twin of a native count in the scrape: {}",
+            s.name
+        );
+    }
+    let count = |name: &str| parsed.iter().filter(|s| s.name == name).count();
+    for name in [
+        "svc_served_total",
+        "svc_admitted_total",
+        "svc_completed_total",
+        "svc_wal_appends_total",
+        "svc_slow_queries_total",
+    ] {
+        assert_eq!(count(name), 1, "{name}");
+    }
+    assert_eq!(count("svc_shed_total"), 3, "one series per shed reason");
+    assert_eq!(series_value(&parsed, "svc_served_total", &[]), Some(1.0));
+    assert_eq!(
+        series_value(&parsed, "svc_wal_appends_total", &[]),
+        Some(1.0)
+    );
+    assert_eq!(
+        series_value(&parsed, "svc_slow_queries_total", &[]),
+        Some(1.0)
+    );
+    server.join().expect("join");
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Counters never step backwards between scrapes: the scrape handler
